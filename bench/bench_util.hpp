@@ -158,12 +158,11 @@ inline bool write_json_records(const std::string& path,
 }
 
 /// One machine-readable solver perf record. Two kinds share the struct:
-/// chain-solve records (dispatch empty; method is the iteration scheme the
-/// engine ran, or "auto" for a cost-model-selected solve) and campaign
-/// dispatch-mode records (dispatch = "sequential" / "batched"; these time a
-/// whole campaign run, not a solver method, and are keyed accordingly in
-/// the JSON so tooling never mistakes a dispatch mode for an iteration
-/// scheme).
+/// chain-solve records (dispatch empty; method is the iteration scheme or
+/// approximate backend that ran) and campaign dispatch records (dispatch =
+/// "batched"; these time a whole campaign run, not a solver method, and
+/// are keyed accordingly in the JSON so tooling never mistakes a dispatch
+/// mode for an iteration scheme).
 struct SolverRecord {
     std::string name;      ///< bench/case identifier
     long long states = 0;  ///< chain states (solver) / campaign points (dispatch)
@@ -178,11 +177,10 @@ struct SolverRecord {
 
 /// Collects SolverRecords and writes them as a flat JSON array so
 /// downstream tooling can diff perf across PRs. Records are kept
-/// structured; speedups are derived at write() time by pairing each record
-/// with its baseline in the SAME batch — the threads == 1 "gauss_seidel"
-/// record of the same case for solver records, the "sequential" record of
-/// the same case for dispatch records. A record with no such baseline gets
-/// "speedup": null instead of a bogus caller-supplied ratio.
+/// structured; speedups are derived at write() time by pairing each solver
+/// record with the threads == 1 "gauss_seidel" record of the same case in
+/// the SAME batch. A record with no such baseline (every dispatch record)
+/// gets "speedup": null instead of a bogus caller-supplied ratio.
 class BenchJsonWriter {
 public:
     void add(const SolverRecord& r) { records_.push_back(r); }
@@ -193,11 +191,9 @@ public:
         for (const SolverRecord& r : records_) {
             const SolverRecord* base = nullptr;
             for (const SolverRecord& c : records_) {
-                const bool match =
-                    r.dispatch.empty()
-                        ? (c.dispatch.empty() && c.name == r.name && c.threads == 1 &&
-                           c.method == "gauss_seidel")
-                        : (c.name == r.name && c.dispatch == "sequential");
+                const bool match = r.dispatch.empty() && c.dispatch.empty() &&
+                                   c.name == r.name && c.threads == 1 &&
+                                   c.method == "gauss_seidel";
                 if (match) {
                     base = &c;
                     break;

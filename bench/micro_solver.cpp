@@ -1,30 +1,25 @@
 // Solver microbench backing the paper's methodological claim (Section 1):
 // "sensitive performance measures can be computed on a modern PC within few
-// minutes of CPU solution time" — and, since the parallel-engine refactor,
-// measuring how far the thread-sharded kernels push that claim.
+// minutes of CPU solution time".
 //
-// For each case the harness solves the chain once with the serial seed path
-// (Gauss-Seidel, num_threads = 1) as the baseline, once through the auto
-// cost model (which at one thread must reproduce the baseline bitwise —
-// the record doubles as a dispatch check), then with the parallel methods
-// (red-black Gauss-Seidel, Jacobi) across thread counts, reporting wall
-// time, speedup, and the max-norm distance of each distribution from the
-// serial baseline. Records land in BENCH_solver.json (--json=PATH to
-// override) so later PRs can diff the perf trajectory.
+// The harness solves the Fig. 10 chain once with the engine's one
+// iteration scheme (serial Gauss-Seidel from the product-form warm start),
+// reporting wall time, sweeps and residual passes; then times the
+// large-population approximations on a cell far beyond the exact chain,
+// and the merged batched dispatch of two multi-variant campaigns. Records
+// land in BENCH_solver.json (--json=PATH to override) so later changes can
+// diff the perf trajectory.
 //
 //   micro_solver [--full] [--m=N] [--threads=N] [--json=PATH] [--no-campaign]
 //
-// --threads caps the widest configuration measured: the ladder is
-// {1, 2, 4, ..., cap}, so --threads=1 runs just the serial baseline and
-// --threads=0 ladders up to every hardware thread; with no flag the cap is
-// min(8, 2 x hardware threads). The quick default solves M = 10 (~130k
-// states, finishes in seconds); --full solves the Fig. 10 mid-size
-// configuration M = 100 (~10 million states); --m=N picks any session cap
-// in between. The multi-variant campaign timing section (sequential vs
-// merged batched dispatch, a few seconds) runs by default; --no-campaign
+// --threads sets the campaign width (0 = every hardware thread; with no
+// flag min(8, 2 x hardware threads)); the chain solve itself is always
+// serial. The quick default solves M = 10 (~130k states, finishes in
+// seconds); --full solves the Fig. 10 mid-size configuration M = 100
+// (~10 million states); --m=N picks any session cap in between. The
+// campaign timing section (a few seconds) runs by default; --no-campaign
 // skips it when iterating on the solver kernels alone.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -54,22 +49,13 @@ core::Parameters fig10_parameters(int max_sessions) {
     return p;
 }
 
-double max_norm_distance(const std::vector<double>& a, const std::vector<double>& b) {
-    double worst = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        worst = std::max(worst, std::fabs(a[i] - b[i]));
-    }
-    return worst;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
     const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
     const int hw = common::ThreadPool::hardware_threads();
-    // Repo-wide --threads semantics: 0 = all hardware threads, 1 = serial
-    // only, N = ladder up to N. With no flag the ladder tops out at
-    // min(8, 2*hw) so the table is informative on any machine.
+    // Repo-wide --threads semantics for the campaign width: 0 = all
+    // hardware threads, N = N; with no flag min(8, 2*hw).
     int m_sessions = args.full ? 100 : 10;
     bool run_campaign = true;
     for (int i = 1; i < argc; ++i) {
@@ -79,12 +65,12 @@ int main(int argc, char** argv) try {
             run_campaign = false;
         }
     }
-    const int max_threads = args.threads_given
+    const int campaign_threads = args.threads_given
                                 ? ctmc::SolverEngine::resolve_thread_count(args.threads)
                                 : std::min(8, 2 * hw);
 
-    bench::print_header("micro_solver -- steady-state engine: threads vs wall time");
-    std::printf("hardware threads: %d, widest measured: %d\n", hw, max_threads);
+    bench::print_header("micro_solver -- steady-state engine and campaign dispatch");
+    std::printf("hardware threads: %d, campaign width: %d\n", hw, campaign_threads);
 
     const core::Parameters p = fig10_parameters(m_sessions);
     const core::BalancedTraffic balanced = core::balance_handover(p);
@@ -101,111 +87,30 @@ int main(int argc, char** argv) try {
                 static_cast<long long>(qt.off_diagonal().nonzeros()),
                 build_timer.seconds());
 
-    // No prewarm: the pool spawns on the first parallel solve, so the
-    // serial baseline (and the auto record below) are never timed against
-    // spinning pool workers — on a 1-core CI box that contention inflates
-    // the serial wall time by ~25%.
+    // No prewarm: the pool spawns for the campaign section, so the solve
+    // is never timed against spinning pool workers — on a 1-core CI box
+    // that contention inflates the serial wall time by ~25%.
     ctmc::SolverEngine engine;
     bench::BenchJsonWriter json;
     const std::string case_name =
         "fig10_M" + std::to_string(m_sessions);
 
-    ctmc::SolveOptions base;
-    // 1e-14 on the scaled residual keeps the per-method distributions
-    // within 1e-10 max-norm of each other (the residual-to-error
-    // amplification on this chain is ~4e3).
-    base.tolerance = 1e-14;
-    base.initial = initial;
-
-    // Serial seed path: the baseline every other run is compared against.
-    ctmc::SolveOptions serial = base;
-    serial.method = ctmc::SolveMethod::gauss_seidel;
-    serial.num_threads = 1;
-    const ctmc::SolveResult baseline = engine.solve(qt, serial);
-    std::printf("\n%-26s %7s %9s %10s %12s %12s\n", "method", "threads", "sweeps",
-                "seconds", "speedup", "maxdiff");
-    std::printf("%-26s %7d %9lld %10.3f %12s %12s\n",
-                ctmc::method_name(baseline.method_used), baseline.threads_used,
-                static_cast<long long>(baseline.iterations), baseline.seconds, "1.00x",
-                "-");
+    ctmc::SolveOptions options;
+    options.tolerance = 1e-14;  // the tolerance of the committed records
+    options.initial = initial;
+    const ctmc::SolveResult solved = engine.solve(qt, options);
+    std::printf("\n%-26s %7s %9s %10s\n", "method", "threads", "sweeps", "seconds");
+    std::printf("%-26s %7d %9lld %10.3f\n", "gauss_seidel", 1,
+                static_cast<long long>(solved.iterations), solved.seconds);
     json.add({.name = case_name,
               .states = static_cast<long long>(qt.size()),
-              .method = ctmc::method_name(baseline.method_used),
-              .threads = baseline.threads_used,
-              .seconds = baseline.seconds,
-              .iterations = static_cast<long long>(baseline.iterations),
-              .residual = baseline.residual,
+              .method = "gauss_seidel",
+              .threads = 1,
+              .seconds = solved.seconds,
+              .iterations = static_cast<long long>(solved.iterations),
+              .residual = solved.residual,
               .residual_evaluations =
-                  static_cast<long long>(baseline.residual_evaluations)});
-
-    // Cost-model record: same point solved with method = auto. At one
-    // thread the model must pick the serial Gauss-Seidel path, making this
-    // run bitwise identical to the baseline — any maxdiff is a bug.
-    ctmc::SolveOptions auto_opts = base;
-    auto_opts.method = ctmc::SolveMethod::auto_select;
-    auto_opts.num_threads = 1;
-    const ctmc::SolveResult auto_run = engine.solve(qt, auto_opts);
-    const double auto_diff =
-        max_norm_distance(auto_run.distribution, baseline.distribution);
-    std::printf("%-26s %7d %9lld %10.3f %11.2fx %12.2e\n", "auto",
-                auto_run.threads_used, static_cast<long long>(auto_run.iterations),
-                auto_run.seconds, baseline.seconds / auto_run.seconds, auto_diff);
-    std::printf("  auto -> %s (%s)\n", ctmc::method_name(auto_run.method_used),
-                auto_run.reason.c_str());
-    if (auto_diff != 0.0) {
-        std::fprintf(stderr,
-                     "WARNING: auto @ 1 thread must be bitwise identical to the serial "
-                     "baseline (maxdiff %.2e)\n",
-                     auto_diff);
-    }
-    json.add({.name = case_name,
-              .states = static_cast<long long>(qt.size()),
-              .method = "auto",
-              .threads = auto_run.threads_used,
-              .seconds = auto_run.seconds,
-              .iterations = static_cast<long long>(auto_run.iterations),
-              .residual = auto_run.residual,
-              .residual_evaluations =
-                  static_cast<long long>(auto_run.residual_evaluations)});
-
-    std::vector<int> ladder;
-    for (int t = 1; t <= max_threads; t *= 2) {
-        ladder.push_back(t);
-    }
-    if (ladder.back() != max_threads) {
-        ladder.push_back(max_threads);
-    }
-
-    const ctmc::SolveMethod methods[] = {ctmc::SolveMethod::red_black_gauss_seidel,
-                                         ctmc::SolveMethod::jacobi};
-    for (ctmc::SolveMethod method : methods) {
-        for (int threads : ladder) {
-            ctmc::SolveOptions options = base;
-            options.method = method;
-            options.num_threads = threads;
-            const ctmc::SolveResult r = engine.solve(qt, options);
-            const double diff = max_norm_distance(r.distribution, baseline.distribution);
-            std::printf("%-26s %7d %9lld %10.3f %11.2fx %12.2e\n",
-                        ctmc::method_name(r.method_used), r.threads_used,
-                        static_cast<long long>(r.iterations), r.seconds,
-                        baseline.seconds / r.seconds, diff);
-            json.add({.name = case_name,
-                      .states = static_cast<long long>(qt.size()),
-                      .method = ctmc::method_name(r.method_used),
-                      .threads = r.threads_used,
-                      .seconds = r.seconds,
-                      .iterations = static_cast<long long>(r.iterations),
-                      .residual = r.residual,
-                      .residual_evaluations =
-                          static_cast<long long>(r.residual_evaluations)});
-            if (diff > 1e-10) {
-                std::fprintf(stderr,
-                             "WARNING: %s @ %d threads drifted %.2e from the serial "
-                             "baseline (budget 1e-10)\n",
-                             ctmc::method_name(r.method_used), threads, diff);
-            }
-        }
-    }
+                  static_cast<long long>(solved.residual_evaluations)});
 
     // Large-population approximations: one point of the
     // campaigns/large_population.json cell (4096 channels, 1000 reserved
@@ -264,9 +169,8 @@ int main(int argc, char** argv) try {
 
     // Multi-variant campaign: the merged cross-variant task set (every
     // variant's bisection waves interleaved, DES replications backfilling
-    // idle solver threads) against the sequential per-(backend, variant)
-    // dispatch of the same spec. Output is bitwise identical either way;
-    // the record tracks wall time and the wave counts.
+    // idle solver threads). The record tracks wall time; the summary's
+    // wave counts show the merge against one grid per (backend, variant).
     if (!run_campaign) {
         json.write(args.json.empty() ? "BENCH_solver.json" : args.json);
         return 0;
@@ -287,32 +191,18 @@ int main(int argc, char** argv) try {
     spec.simulation.batch_duration = 150.0;
 
     campaign::CampaignRunner campaign_runner(engine);
-    campaign::CampaignOptions sequential;
-    sequential.num_threads = max_threads;
-    sequential.sequential_dispatch = true;
-    bench::WallTimer campaign_timer;
-    const campaign::CampaignResult seq = campaign_runner.run(spec, sequential);
-    const double seq_seconds = campaign_timer.seconds();
     campaign::CampaignOptions batched;
-    batched.num_threads = max_threads;
-    campaign_timer.reset();
+    batched.num_threads = campaign_threads;
+    bench::WallTimer campaign_timer;
     const campaign::CampaignResult bat = campaign_runner.run(spec, batched);
     const double bat_seconds = campaign_timer.seconds();
 
     std::printf("\ncampaign: 3 variants x 9 rates x (ctmc + des, 2 replications), "
                 "%d threads\n", bat.summary.threads);
-    std::printf("  sequential dispatch: %.3f s (%zu waves)\n", seq_seconds,
-                bat.summary.sequential_waves);
-    std::printf("  merged batch:        %.3f s (%zu waves, %zu tasks)  "
-                "speedup %.2fx\n",
+    std::printf("  merged batch: %.3f s (%zu waves, %zu tasks; %zu waves one grid "
+                "at a time)\n",
                 bat_seconds, bat.summary.batch_waves, bat.summary.batch_tasks,
-                bat_seconds > 0.0 ? seq_seconds / bat_seconds : 0.0);
-    json.add({.name = "campaign_3var_ctmc_des",
-              .states = static_cast<long long>(bat.summary.points),
-              .dispatch = "sequential",
-              .threads = bat.summary.threads,
-              .seconds = seq_seconds,
-              .iterations = seq.summary.total_iterations});
+                bat.summary.sequential_waves);
     json.add({.name = "campaign_3var_ctmc_des",
               .states = static_cast<long long>(bat.summary.points),
               .dispatch = "batched",
@@ -322,8 +212,8 @@ int main(int argc, char** argv) try {
 
     // Network scaling: the campaigns/network_scaling.json study rebuilt
     // programmatically (1 -> 16 cells x 3 mobility speeds through the
-    // analytic network fixed point, ctmc inner solves), timed at both
-    // dispatch widths. Every lattice's inner solves land on the shared
+    // analytic network fixed point, ctmc inner solves). Every lattice's
+    // inner solves land on the shared
     // pool as one flat wave-ordered task set, so this record tracks how
     // the cross-cell merge scales as lattices grow.
     campaign::ScenarioSpec net_spec;
@@ -345,27 +235,15 @@ int main(int argc, char** argv) try {
     net_spec.with_network(net);
 
     campaign_timer.reset();
-    const campaign::CampaignResult net_seq = campaign_runner.run(net_spec, sequential);
-    const double net_seq_seconds = campaign_timer.seconds();
-    campaign_timer.reset();
     const campaign::CampaignResult net_bat = campaign_runner.run(net_spec, batched);
     const double net_bat_seconds = campaign_timer.seconds();
 
     std::printf("\nnetwork scaling: 15 lattices (1-16 cells x 3 speeds) x 4 rates, "
                 "network-fp, %d threads\n", net_bat.summary.threads);
-    std::printf("  sequential dispatch: %.3f s (%zu waves)\n", net_seq_seconds,
-                net_bat.summary.sequential_waves);
-    std::printf("  merged batch:        %.3f s (%zu waves, %zu tasks)  "
-                "speedup %.2fx\n",
+    std::printf("  merged batch: %.3f s (%zu waves, %zu tasks; %zu waves one grid "
+                "at a time)\n",
                 net_bat_seconds, net_bat.summary.batch_waves,
-                net_bat.summary.batch_tasks,
-                net_bat_seconds > 0.0 ? net_seq_seconds / net_bat_seconds : 0.0);
-    json.add({.name = "network_scaling_fp",
-              .states = static_cast<long long>(net_bat.summary.points),
-              .dispatch = "sequential",
-              .threads = net_bat.summary.threads,
-              .seconds = net_seq_seconds,
-              .iterations = net_seq.summary.total_iterations});
+                net_bat.summary.batch_tasks, net_bat.summary.sequential_waves);
     json.add({.name = "network_scaling_fp",
               .states = static_cast<long long>(net_bat.summary.points),
               .dispatch = "batched",

@@ -26,7 +26,6 @@
 //   --m=<n>               GPRS session cap M               (traffic-model default)
 //   --eta=<0..1>          flow-control threshold           (default 0.7)
 //   --bler=<0..1>         RLC block error rate             (default 0)
-//   --threads=<n>         solver threads; 0 = all cores    (default 1)
 // simulate:
 //   --seed=<n> --batches=<n> --batch-seconds=<s> --no-tcp
 // eval:
@@ -52,15 +51,9 @@
 // campaign:
 //   --threads=<n>         task-sharding width (output is identical at any)
 //   --cold                disable warm-start caching (baseline comparison)
-//   --sequential          dispatch one grid per (backend, variant) instead
-//                         of the merged batched task set (A/B baseline;
-//                         the point table / CSV is bitwise identical
-//                         either way — only the summary's wall clock and
-//                         batch-wave accounting differ)
 //   --replications=<n>    override the spec's replication count
 //   --solver-method=<m>   override the spec's chain-solve iteration scheme
-//                         (gauss_seidel, red_black_gauss_seidel, jacobi,
-//                         ..., or auto for the engine's cost model)
+//                         (auto or gauss_seidel, the same serial scheme)
 //   --csv=<path>          write the per-point table as CSV
 //   --out=<path>          write points + summary as JSON
 //   --quiet               suppress per-solve progress on stderr
@@ -140,15 +133,11 @@ int cmd_analyze(int argc, char** argv) {
     core::GprsModel model(parameters_from_flags(argc, argv));
     ctmc::SolveOptions options;
     options.tolerance = 1e-9;
-    // --threads=N runs the red-black parallel engine; 1 keeps the serial
-    // seed path, 0 uses every hardware thread.
-    options.num_threads = static_cast<int>(flag(argc, argv, "threads", 1));
     const auto& solve = model.solve(options);
     const core::Measures m = model.measures();
-    std::printf("states %lld, %lld sweeps, %.1f s (%d threads)\n",
+    std::printf("states %lld, %lld sweeps, %.1f s\n",
                 static_cast<long long>(model.space().size()),
-                static_cast<long long>(solve.iterations), solve.seconds,
-                solve.threads_used);
+                static_cast<long long>(solve.iterations), solve.seconds);
     std::printf("CDT %.4f PDCH | PLP %.3e | QD %.3f s | ATU %.3f kbit/s\n",
                 m.carried_data_traffic, m.packet_loss_probability, m.queueing_delay,
                 m.throughput_per_user_kbps);
@@ -267,7 +256,8 @@ int cmd_eval(int argc, char** argv) {
         std::printf("provenance: %lld sweeps, residual %.2e, %.2f s\n", point.iterations,
                     point.residual, point.wall_seconds);
         if (!point.solver_method.empty()) {
-            std::printf("  method %s: %s\n", point.solver_method.c_str(),
+            std::printf("  method %s%s%s\n", point.solver_method.c_str(),
+                        point.solver_reason.empty() ? "" : ": ",
                         point.solver_reason.c_str());
         }
     } else if (point.has_confidence) {
@@ -326,7 +316,6 @@ int cmd_campaign(int argc, char** argv) {
     campaign::CampaignOptions options;
     options.num_threads = static_cast<int>(flag(argc, argv, "threads", 1));
     options.force_cold = has_flag(argc, argv, "cold");
-    options.sequential_dispatch = has_flag(argc, argv, "sequential");
     options.solver_method_override = string_flag(argc, argv, "solver-method");
     if (!has_flag(argc, argv, "quiet")) {
         options.solve_progress = [](std::size_t flat, const campaign::CampaignPoint& p) {
@@ -336,7 +325,15 @@ int cmd_campaign(int argc, char** argv) {
         };
     }
 
-    const campaign::CampaignResult result = campaign::run_campaign(spec, options);
+    campaign::CampaignResult result;
+    try {
+        result = campaign::run_campaign(spec, options);
+    } catch (const campaign::SpecError& e) {
+        // An invalid override (e.g. --solver-method) fails spec validation.
+        const common::EvalError error{common::EvalErrorCode::invalid_query, e.what()};
+        std::fprintf(stderr, "error: %s\n", error.to_string().c_str());
+        return 1;
+    }
 
     // Compact per-point table; column set follows the method.
     const bool model = result.points.empty() ? false : result.points.front().has_model;

@@ -194,8 +194,6 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec, const CampaignOptio
     const ScenarioSpec& effective = workload.effective;
     const std::vector<double>& rates = effective.rates;
     const std::size_t num_rates = rates.size();
-    const std::size_t num_variants = workload.variants.size();
-    const std::size_t num_methods = effective.methods.size();
 
     const int width = common::ThreadPool::resolve_thread_count(options.num_threads);
     common::ThreadPool* pool = width > 1 ? &engine_.pool(width) : nullptr;
@@ -205,8 +203,7 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec, const CampaignOptio
     grid.pool = pool;
     grid.warm_start = effective.solver.warm_start;
     if (options.solve_progress) {
-        // Both dispatch modes report the flat batch index v * num_rates + r
-        // (the single-grid path adds the v offset below).
+        // Progress reports the flat batch index v * num_rates + r.
         grid.progress = [&options, num_rates](std::size_t flat,
                                               const eval::PointEvaluation& evaluation) {
             CampaignPoint snapshot;
@@ -224,76 +221,30 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec, const CampaignOptio
         };
     }
 
-    std::vector<std::vector<eval::GridOutcome>> outcomes;
-    std::size_t batch_waves = 0;
-    std::size_t sequential_waves = 0;
-    std::size_t batch_tasks = 0;
-    if (options.sequential_dispatch) {
-        // A/B baseline: one evaluate_grid per (backend, variant), grid
-        // after grid — no cross-variant or cross-backend overlap. The
-        // service's per-slice path (src/service/service.cpp) evaluates
-        // exactly this shape, which is why the two stay byte-identical.
-        outcomes.reserve(num_methods);
-        for (std::size_t b = 0; b < num_methods; ++b) {
-            auto backend = eval::BackendRegistry::global().find(effective.methods[b]);
-            if (!backend.ok()) {
-                // validate() checked membership; a vanished backend would
-                // be a registry mutation between then and now.
-                throw SpecError(backend.error().message, 0);
-            }
-            std::vector<eval::GridOutcome> per_backend;
-            per_backend.reserve(num_variants);
-            for (std::size_t v = 0; v < num_variants; ++v) {
-                eval::GridOptions per_grid = grid;
-                // Disjoint substream blocks across variants: grid point r
-                // of variant v is experiment block (v * num_rates + r) —
-                // the flat point index, so replication streams never
-                // overlap between variants sharing the spec's seed.
-                per_grid.grid_offset = workload.grid_offset(v);
-                if (grid.progress) {
-                    per_grid.progress = [&grid, v, num_rates](
-                                            std::size_t r,
-                                            const eval::PointEvaluation& evaluation) {
-                        grid.progress(v * num_rates + r, evaluation);
-                    };
-                }
-                per_backend.push_back(
-                    backend.value()->evaluate_grid(workload.queries[v], rates, per_grid));
-            }
-            outcomes.push_back(std::move(per_backend));
-        }
-    } else {
-        // Merged batch: every backend plans its (variant, rate[,
-        // replication]) work and eval::evaluate_campaign runs the union as
-        // one flat wave-ordered task set on the engine's pool — narrow
-        // warm-start waves of one variant interleave with other variants'
-        // wide waves and with DES replications. Each plan writes a
-        // disjoint slice of the point table, so output stays a pure
-        // function of the spec at every width and in both dispatch modes.
-        eval::CampaignRequest request;
-        request.backends = effective.methods;
-        request.queries = workload.queries;
-        request.rates = rates;
-        auto evaluated =
-            eval::evaluate_campaign(eval::BackendRegistry::global(), request, grid);
-        if (!evaluated.ok()) {
-            throw SpecError(evaluated.error().message, 0);
-        }
-        eval::CampaignEvaluation evaluation = evaluated.take();
-        batch_waves = evaluation.stats.waves;
-        sequential_waves = evaluation.stats.sequential_waves;
-        batch_tasks = evaluation.stats.tasks;
-        outcomes = std::move(evaluation.outcomes);
+    // Merged batch: every backend plans its (variant, rate[, replication])
+    // work and eval::evaluate_campaign runs the union as one flat
+    // wave-ordered task set on the engine's pool — narrow warm-start waves
+    // of one variant interleave with other variants' wide waves and with
+    // DES replications. Each plan writes a disjoint slice of the point
+    // table, so output stays a pure function of the spec at every width.
+    eval::CampaignRequest request;
+    request.backends = effective.methods;
+    request.queries = workload.queries;
+    request.rates = rates;
+    auto evaluated = eval::evaluate_campaign(eval::BackendRegistry::global(), request, grid);
+    if (!evaluated.ok()) {
+        throw SpecError(evaluated.error().message, 0);
     }
+    eval::CampaignEvaluation evaluation = evaluated.take();
 
-    auto assembled = assemble_campaign(workload, std::move(outcomes));
+    auto assembled = assemble_campaign(workload, std::move(evaluation.outcomes));
     if (!assembled.ok()) {
         throw std::runtime_error(assembled.error().message);
     }
     CampaignResult result = assembled.take();
-    result.summary.batch_waves = batch_waves;
-    result.summary.sequential_waves = sequential_waves;
-    result.summary.batch_tasks = batch_tasks;
+    result.summary.batch_waves = evaluation.stats.waves;
+    result.summary.sequential_waves = evaluation.stats.sequential_waves;
+    result.summary.batch_tasks = evaluation.stats.tasks;
     result.summary.threads = width;
     result.summary.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

@@ -10,9 +10,7 @@
 //          variant's narrow warm-start waves interleave with the other
 //          variants' wide waves and DES replications backfill idle solver
 //          threads; pairwise deltas and summaries are post-processed
-//          deterministically. CampaignOptions::sequential_dispatch keeps
-//          the old one-evaluate_grid-per-(backend, variant) loop as the
-//          A/B baseline — output is bitwise identical either way.
+//          deterministically.
 //   eval layer       eval::Evaluator / BackendRegistry / evaluate_campaign
 //        ^ backends keep their batch internals: the ctmc backend plans the
 //          deterministic bisection warm-start transfer schedule (deviation
@@ -32,8 +30,7 @@
 // of the experiment seed (GridOptions::grid_offset keeps variants on
 // disjoint blocks), and every reduction (replication pooling, deltas,
 // summary totals) runs serially in point order after the parallel phase —
-// so campaign output is bitwise invariant to CampaignOptions::num_threads
-// AND to the dispatch mode (merged batch vs sequential grids).
+// so campaign output is bitwise invariant to CampaignOptions::num_threads.
 #pragma once
 
 #include <cstdint>
@@ -109,17 +106,10 @@ struct CampaignOptions {
     /// cold-start baseline the summary is compared against).
     bool force_cold = false;
     /// Non-empty: overrides ScenarioSpec::SolverSpec::method for every
-    /// chain solve of the run (canonical ctmc::method_name spelling, or
-    /// "auto"). The A/B knob behind the CLI's --solver-method flag; an
-    /// unknown spelling surfaces as each point's invalid_query error.
+    /// chain solve of the run ("gauss_seidel" or "auto"). The knob behind
+    /// the CLI's --solver-method flag; any other spelling fails spec
+    /// validation with a SpecError.
     std::string solver_method_override;
-    /// Dispatches one evaluate_grid per (backend, variant) instead of the
-    /// merged cross-variant task set — the pre-batch behavior, kept as the
-    /// A/B baseline (and for out-of-tree backends whose evaluate_grid has
-    /// batch internals but no plan). Output is bitwise identical either
-    /// way; only the wave count (CampaignSummary::batch_waves) and the
-    /// wall clock change.
-    bool sequential_dispatch = false;
     /// Called after every finished chain solve (under a lock, NOT in point
     /// order): flat point index and the solved point.
     std::function<void(std::size_t, const CampaignPoint&)> solve_progress;
@@ -139,7 +129,7 @@ struct CampaignSummary {
     long long total_iterations = 0;
     long long sim_replications = 0;
     std::uint64_t sim_events = 0;
-    /// Merged-batch accounting (zero under sequential_dispatch): waves the
+    /// Merged-batch accounting: waves the
     /// flat cross-(backend, variant) task set executed vs the waves the
     /// same work needs dispatched one (backend, variant) grid at a time.
     /// batch_waves < sequential_waves is the recovered cross-variant
@@ -147,8 +137,7 @@ struct CampaignSummary {
     std::size_t batch_waves = 0;
     std::size_t sequential_waves = 0;
     /// Tasks of the merged set (chain solves + simulator replications +
-    /// whole-grid closures of plain backends); zero under sequential
-    /// dispatch.
+    /// whole-grid closures of plain backends).
     std::size_t batch_tasks = 0;
     double wall_seconds = 0.0;
     int threads = 1;
@@ -185,9 +174,10 @@ struct CampaignWorkload {
 
     std::size_t num_rates() const { return effective.rates.size(); }
     /// Substream/grid offset of variant v — the flat point index of its
-    /// first grid point. EVERY dispatch path must pass this as
-    /// GridOptions::grid_offset so DES replications of variant v draw from
-    /// the same substream blocks regardless of who evaluates the slice.
+    /// first grid point. Every caller that evaluates a variant's slice on
+    /// its own (the service) must pass this as GridOptions::grid_offset so
+    /// DES replications of variant v draw from the same substream blocks
+    /// as in the merged batch.
     std::uint64_t grid_offset(std::size_t v) const {
         return static_cast<std::uint64_t>(v * num_rates());
     }

@@ -355,10 +355,10 @@ void print_campaign_summary(const CampaignResult& result, std::FILE* out) {
     if (s.batch_waves > 0) {
         // Cross-variant interleaving: the merged task set runs every
         // (backend, variant) grid's wave w together, so fewer waves than
-        // the per-grid sequential dispatch means more tasks per dispatch.
+        // dispatching one grid at a time means more tasks per dispatch.
         std::fprintf(out,
                      "  task set: %zu tasks in %zu merged waves "
-                     "(sequential dispatch: %zu waves)\n",
+                     "(one grid at a time: %zu waves)\n",
                      s.batch_tasks, s.batch_waves, s.sequential_waves);
     }
     std::fprintf(out, "  wall %.2f s on %d thread%s\n", s.wall_seconds, s.threads,

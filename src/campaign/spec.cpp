@@ -10,6 +10,7 @@
 
 #include "campaign/json.hpp"
 #include "core/sweep.hpp"
+#include "ctmc/solver_options.hpp"
 #include "eval/registry.hpp"
 #include "traffic/threegpp.hpp"
 #include "traffic/trace.hpp"
@@ -130,6 +131,16 @@ void check_method_names(const std::vector<std::string>& methods, int line) {
     }
 }
 
+/// Throws the line-carrying SpecError for a solver.method spelling the
+/// chain solver does not accept, listing the ones it does.
+void check_solver_method(const std::string& name, int line) {
+    if (!ctmc::method_from_name(name)) {
+        throw SpecError("solver.method \"" + name + "\" is not a known iteration scheme" +
+                            " (accepted: " + ctmc::kMethodSpellings + ")",
+                        line);
+    }
+}
+
 std::vector<std::string> parse_methods(const JsonValue& value) {
     std::vector<std::string> methods;
     if (value.is_array()) {
@@ -221,6 +232,7 @@ SolverSpec parse_solver(const JsonValue& value) {
             solver.warm_start = v.as_bool();
         } else if (key == "method") {
             solver.method = v.as_string();
+            check_solver_method(solver.method, v.line());
         } else {
             throw SpecError("unknown \"solver\" key \"" + key + "\"", v.line());
         }
@@ -445,6 +457,7 @@ void ScenarioSpec::validate() const {
                         0);
     }
     check_method_names(methods, 0);
+    check_solver_method(solver.method, 0);
     for (const char c : name) {
         // The name is the only user-controlled string reaching the CSV/JSON
         // sinks; control characters would corrupt their row/escape framing.

@@ -44,12 +44,8 @@ struct SolverSpec {
     /// (runner.hpp describes the deterministic schedule). false = every
     /// point starts cold from the product-form guess.
     bool warm_start = true;
-    /// Iteration scheme for the chain solves, by canonical
-    /// ctmc::method_name spelling; "auto" (the default) lets the engine's
-    /// cost model decide per point. NOTE this selects the iteration scheme
-    /// of each solve — dispatch modes (sequential vs merged batch) are a
-    /// runner concern (CampaignOptions::sequential_dispatch), not a solver
-    /// method.
+    /// Iteration scheme for the chain solves: "gauss_seidel" or its second
+    /// spelling "auto" (the default). Any other spelling is a SpecError.
     std::string method = "auto";
 };
 
@@ -174,7 +170,7 @@ struct ScenarioSpec {
     ScenarioSpec& with_rates(std::vector<double> values);
     ScenarioSpec& with_tolerance(double value);
     ScenarioSpec& with_warm_start(bool value);
-    /// Iteration scheme (SolverSpec::method); "auto" = engine cost model.
+    /// Iteration scheme (SolverSpec::method): "auto" or "gauss_seidel".
     ScenarioSpec& with_solver_method(std::string value);
     ScenarioSpec& with_replications(int value);
     ScenarioSpec& with_seed(std::uint64_t value);

@@ -64,8 +64,7 @@ std::vector<SweepPoint> ScenarioSweep::call_arrival_rate(const Parameters& base,
     }
 
     // Parallel mode: contiguous shards, warm-start chaining inside each
-    // shard, per-point solves forced single-threaded (the shard is the unit
-    // of parallelism; nested pool use would deadlock).
+    // shard (the shard is the unit of parallelism).
     const std::size_t shards = static_cast<std::size_t>(width);
     const std::size_t per_shard = (count + shards - 1) / shards;
     std::mutex progress_mutex;
@@ -77,7 +76,6 @@ std::vector<SweepPoint> ScenarioSweep::call_arrival_rate(const Parameters& base,
             std::vector<double> previous;
             for (std::size_t idx = begin; idx < end; ++idx) {
                 ctmc::SolveOptions solve = options.solve;
-                solve.num_threads = 1;
                 if (options.warm_start && !previous.empty()) {
                     solve.initial = previous;
                 }
@@ -108,9 +106,6 @@ std::vector<ScenarioPoint> ScenarioSweep::sweep_scenarios(
     const auto solve_scenario = [&](int task) {
         const std::size_t idx = static_cast<std::size_t>(task);
         ctmc::SolveOptions solve = options.solve;
-        if (width > 1) {
-            solve.num_threads = 1;  // scenarios are the parallelism
-        }
         GprsModel model(scenarios[idx]);
         const ctmc::SolveResult& result = model.solve(solve, engine_);
         ScenarioPoint& point = points[idx];

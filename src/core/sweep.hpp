@@ -38,8 +38,8 @@ struct SweepOptions {
     bool warm_start = true;
     /// Shard *independent* sweep points across the engine's pool. Each of
     /// the num_threads contiguous shards is solved serially with warm-start
-    /// chaining inside the shard; the per-point solves themselves run
-    /// single-threaded (the points are the parallelism). Warm-start chains
+    /// chaining inside the shard (the points are the parallelism; every
+    /// chain solve is serial). Warm-start chains
     /// restart at shard boundaries (first point of a shard is a cold
     /// start), which lands on a different approximate solution within the
     /// residual tolerance: at loose tolerances (~1e-9) sensitive tail
@@ -50,9 +50,8 @@ struct SweepOptions {
     /// Execution width for sharding work items across the pool: sweep
     /// points in call_arrival_rate (only when parallel_points is true) and
     /// scenarios in sweep_scenarios (always). 0 = all hardware threads,
-    /// <= 1 = serial. When items are sharded the per-item solves are forced
-    /// single-threaded; in the serial cases the per-point solver width
-    /// comes from solve.num_threads instead.
+    /// <= 1 = serial. This is the only thread count a sweep has: the
+    /// per-point solves are serial whatever solve.num_threads says.
     int num_threads = 1;
     /// Called after each completed point (index, point). In parallel_points
     /// mode this is invoked under a lock but NOT in index order.

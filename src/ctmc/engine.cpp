@@ -1,60 +1,8 @@
 #include "ctmc/engine.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace gprsim::ctmc {
-
-AutoSelection auto_select_method(index_type n, int threads) {
-    // Cost model, measured on the Fig. 10 M = 10 chain (126k states; see
-    // docs/benchmarks.md). All costs are per-sweep, relative to one
-    // sequential Gauss-Seidel sweep; the iteration ratios are the observed
-    // sweeps-to-tolerance of each method against serial Gauss-Seidel with
-    // the product-form warm start.
-    constexpr double kCostSerialSweep = 0.55;    // wavefront-pipelined kernel
-    constexpr double kCostRedBlackSweep = 2.1;   // two colored phases + commit
-    constexpr double kIterRatioRedBlack = 1.85;  // 1830 / 990 sweeps
-    constexpr double kCostJacobiSweep = 1.9;     // two-vector sweep
-    constexpr double kIterRatioJacobi = 5.0;     // 4990 / 990 sweeps
-    constexpr double kParallelEfficiency = 0.8;  // pool dispatch + memory bw
-    constexpr index_type kSmallChain = 50000;
-
-    AutoSelection pick;
-    std::ostringstream why;
-    why << "auto_select(n=" << n << ", threads=" << threads << "): ";
-    if (threads <= 1) {
-        pick.method = SolveMethod::gauss_seidel;
-        why << "serial budget -> pipelined serial Gauss-Seidel";
-        pick.reason = why.str();
-        return pick;
-    }
-    if (n < kSmallChain) {
-        pick.method = SolveMethod::gauss_seidel;
-        why << "chain below " << kSmallChain
-            << " states -> serial Gauss-Seidel (parallel dispatch overhead dominates)";
-        pick.reason = why.str();
-        return pick;
-    }
-    const double width = static_cast<double>(threads) * kParallelEfficiency;
-    const double serial_cost = kCostSerialSweep;
-    const double red_black_cost = kCostRedBlackSweep * kIterRatioRedBlack / width;
-    const double jacobi_cost = kCostJacobiSweep * kIterRatioJacobi / width;
-    if (serial_cost <= red_black_cost && serial_cost <= jacobi_cost) {
-        pick.method = SolveMethod::gauss_seidel;
-        why << "serial cost " << serial_cost << " beats red-black " << red_black_cost
-            << " and Jacobi " << jacobi_cost << " at this width";
-    } else if (red_black_cost <= jacobi_cost) {
-        pick.method = SolveMethod::red_black_gauss_seidel;
-        why << "red-black cost " << red_black_cost << " beats serial " << serial_cost
-            << " and Jacobi " << jacobi_cost;
-    } else {
-        pick.method = SolveMethod::jacobi;
-        why << "Jacobi cost " << jacobi_cost << " beats serial " << serial_cost
-            << " and red-black " << red_black_cost;
-    }
-    pick.reason = why.str();
-    return pick;
-}
 
 SolverEngine::SolverEngine(int prewarm_threads) {
     if (prewarm_threads > 1) {

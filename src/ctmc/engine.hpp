@@ -1,36 +1,26 @@
 // SolverEngine: the reusable entry point of the steady-state stack.
 //
-//   engine layer   (this file + kernels.hpp + thread_pool.hpp)
-//        ^ owns a shared common::ThreadPool, dispatches per-method kernels
+//   engine layer   (this file + kernels.hpp)
+//        ^ one iteration scheme: forward Gauss-Seidel
 //   model layer    (core/model.hpp, core/sweep.hpp)
 //        ^ routes GprsModel::solve() and sweeps through an engine
-//   consumers      (bench/, examples/)
+//   consumers      (eval/, campaign/, bench/, examples/)
 //
-// One engine should live as long as the workload: its pool is spawned once
-// and reused across every solve, sweep point, and residual evaluation; a
-// pool wider than a given solve's width never over-parallelizes it (the
-// dispatch caps participating threads at num_threads).
-// Thread-count semantics (SolveOptions::num_threads):
-//   1  -> serial. For the Gauss-Seidel family this is the exact seed
-//         arithmetic (bit-compatible); the parallel methods use
-//         block-ordered reductions, whose rounding differs from the seed's
-//         left-to-right sums in the last ulps.
-//   0  -> all hardware threads,
-//   N  -> N-wide execution. The parallel methods (jacobi, power,
-//         red_black_gauss_seidel) produce bitwise identical distributions
-//         for every thread count; plain gauss_seidel upgrades to
-//         red_black_gauss_seidel when more than one thread is requested
-//         (unless auto_select picked it — the cost model's serial choice
-//         is deliberate and runs serially whatever the width).
+// Every solve runs serially on the calling thread; independent solves
+// (campaign points, sweep shards) are the parallelism. The engine also
+// owns the pool those callers shard their solves across (pool()), spawned
+// once and reused for the life of the workload. SolveOptions::num_threads
+// has no effect, so a solve's result never depends on a thread count.
 //
-// The solve loop runs sweeps in batches of check_interval. Serial
-// Gauss-Seidel on an explicit QtMatrix takes the raw-CSR wavefront kernel
-// (kernels.hpp), which pipelines the batch and fuses the normalization sum
-// into the final sweep and the residual into the normalizing division —
-// bitwise identical to the one-sweep-at-a-time schedule, about 2x faster.
-// With adaptive_checks the residual is evaluated only when the observed
-// convergence rate predicts it could matter; normalization stays on the
-// fixed every-interval schedule, so the iterate trajectory is unchanged.
+// The solve loop runs sweeps in batches of check_interval. On an explicit
+// QtMatrix it takes the raw-CSR wavefront kernel (kernels.hpp), which
+// pipelines the batch and fuses the normalization sum into the final sweep
+// and the residual into the normalizing division — bitwise identical to
+// the one-sweep-at-a-time schedule the matrix-free operator runs, about 2x
+// faster. With adaptive_checks the residual is evaluated only when the
+// observed convergence rate predicts it could matter; normalization stays
+// on the fixed every-interval schedule, so the iterate trajectory is
+// unchanged.
 #pragma once
 
 #include <algorithm>
@@ -50,19 +40,19 @@ namespace gprsim::ctmc {
 class SolverEngine {
 public:
     /// `prewarm_threads` > 1 spawns the pool eagerly; otherwise the pool is
-    /// created on first parallel solve (or pool() call).
+    /// created on the first pool() call.
     explicit SolverEngine(int prewarm_threads = 0);
 
     SolverEngine(const SolverEngine&) = delete;
     SolverEngine& operator=(const SolverEngine&) = delete;
 
-    /// Resolves SolveOptions::num_threads via the repo-wide convention
+    /// Resolves a requested pool width via the repo-wide convention
     /// (common::ThreadPool::resolve_thread_count): 0 -> hardware threads,
     /// else max(1, requested).
     static int resolve_thread_count(int requested);
 
     /// The shared pool, grown (recreated) if narrower than `min_threads`.
-    /// Do not resize while another thread is solving on this engine.
+    /// Do not resize while another thread is dispatching on the pool.
     common::ThreadPool& pool(int min_threads);
 
     /// Solves pi Q = 0, sum(pi) = 1 for the operator's chain.
@@ -70,8 +60,7 @@ public:
     /// Throws std::invalid_argument for degenerate generators. A
     /// non-converged result (result.converged == false) is returned rather
     /// than thrown so callers can decide whether the residual is
-    /// acceptable. Concurrent serial solves (num_threads == 1) on one
-    /// engine are safe; concurrent *parallel* solves serialize on the pool.
+    /// acceptable. Concurrent solves on one engine are safe.
     template <QtOperatorConcept Op>
     SolveResult solve(const Op& op, const SolveOptions& options = {});
 
@@ -135,43 +124,14 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
     }
 
     SolveResult result;
-    const int threads = resolve_thread_count(options.num_threads);
-    SolveMethod method = options.method;
-    bool auto_serial = false;  // auto-picked gauss_seidel stays serial
-    if (method == SolveMethod::auto_select) {
-        const AutoSelection pick = auto_select_method(n, threads);
-        method = pick.method;
-        result.reason = pick.reason;
-        auto_serial = method == SolveMethod::gauss_seidel;
-    }
-    if (method == SolveMethod::gauss_seidel && threads > 1 && !auto_serial) {
-        method = SolveMethod::red_black_gauss_seidel;
-        result.reason =
-            "gauss_seidel is strictly serial; upgraded to red_black_gauss_seidel "
-            "for the parallel run";
-    }
-    const bool parallel_family = method == SolveMethod::jacobi ||
-                                 method == SolveMethod::power ||
-                                 method == SolveMethod::red_black_gauss_seidel;
-    detail::Executor exec;
-    if (threads > 1 && parallel_family) {
-        exec = {&this->pool(threads), threads};
-    }
-
-    result.threads_used = exec.pool != nullptr ? threads : 1;
-    result.method_used = method;
-    const double lambda = detail::max_exit_rate(op, exec);
+    const double lambda = detail::max_exit_rate(op);
 
     const auto prepared_initial = [&](const std::vector<double>& raw) {
         std::vector<double> x = raw;
         for (double& v : x) {
             v = std::max(v, 0.0);
         }
-        if (parallel_family) {
-            detail::normalize_blocked(x, exec);
-        } else {
-            detail::normalize(x);
-        }
+        detail::normalize(x);
         return x;
     };
     result.distribution.assign(static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
@@ -196,7 +156,7 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
                     "solve_steady_state: initial candidate size mismatch");
             }
             std::vector<double> x = prepared_initial(raw);
-            const double residual = detail::scaled_residual(op, x, lambda, exec);
+            const double residual = detail::scaled_residual(op, x, lambda);
             ++result.residual_evaluations;
             if (result.initial_selected < 0 ||
                 residual < options.candidate_margin * incumbent_residual) {
@@ -207,76 +167,6 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
         }
     }
     std::vector<double>& x = result.distribution;
-    const bool needs_old = method == SolveMethod::jacobi || method == SolveMethod::power;
-    std::vector<double> old;
-    if (needs_old) {
-        old.resize(static_cast<std::size_t>(n));
-    }
-    std::vector<double> scratch;
-    if (method == SolveMethod::red_black_gauss_seidel) {
-        scratch.resize(static_cast<std::size_t>(n));
-    }
-
-    const double omega = method == SolveMethod::sor ? options.relaxation : 1.0;
-    if (omega <= 0.0 || omega >= 2.0) {
-        throw std::invalid_argument("solve_steady_state: relaxation must be in (0, 2)");
-    }
-
-    // Serial Gauss-Seidel on an explicit matrix takes the raw-CSR wavefront
-    // kernel; every other (method, operator, width) combination runs the
-    // generic one-sweep-at-a-time kernels.
-    const bool fast_gs = [&] {
-        if constexpr (std::is_same_v<Op, QtMatrix>) {
-            return method == SolveMethod::gauss_seidel && exec.pool == nullptr;
-        } else {
-            return false;
-        }
-    }();
-
-    // Runs `count` sweeps; on the fast path returns the final sweep's
-    // running sum (the normalization numerator), otherwise 0.
-    const auto run_sweeps = [&](index_type count, bool want_sum) -> double {
-        if constexpr (std::is_same_v<Op, QtMatrix>) {
-            if (fast_gs) {
-                return detail::gauss_seidel_sweeps(detail::csr_view(op), x.data(), count,
-                                                   want_sum);
-            }
-        }
-        (void)want_sum;
-        for (index_type s = 0; s < count; ++s) {
-            switch (method) {
-                case SolveMethod::gauss_seidel:
-                case SolveMethod::sor:
-                    detail::gauss_seidel_forward(op, x, omega);
-                    break;
-                case SolveMethod::symmetric_gauss_seidel:
-                    detail::gauss_seidel_forward(op, x, omega);
-                    detail::gauss_seidel_backward(op, x, omega);
-                    break;
-                case SolveMethod::jacobi:
-                    old.swap(x);
-                    detail::jacobi_sweep(op, old, x, exec);
-                    break;
-                case SolveMethod::power:
-                    old.swap(x);
-                    detail::power_sweep(op, old, x, lambda, exec);
-                    break;
-                case SolveMethod::red_black_gauss_seidel:
-                    detail::red_black_sweep(op, x, scratch, exec);
-                    break;
-                case SolveMethod::auto_select:
-                    break;  // resolved above; unreachable
-            }
-        }
-        return 0.0;
-    };
-    const auto normalize_x = [&] {
-        if (parallel_family) {
-            detail::normalize_blocked(x, exec);
-        } else {
-            detail::normalize(x);
-        }
-    };
 
     // Batched sweep loop. Checkpoints land at every multiple of
     // check_interval (and at max_iterations) exactly as in the
@@ -293,29 +183,30 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
                                            options.max_iterations);
         const bool want_residual = !options.adaptive_checks || target >= next_residual ||
                                    target == options.max_iterations;
-        const double batch_sum = run_sweeps(target - sweep, fast_gs);
         if constexpr (std::is_same_v<Op, QtMatrix>) {
-            if (fast_gs) {
-                if (want_residual) {
-                    result.residual = detail::fused_normalize_residual(
-                        detail::csr_view(op), x.data(), batch_sum, lambda);
-                    ++result.residual_evaluations;
-                } else {
-                    if (batch_sum <= 0.0) {
-                        throw std::runtime_error(
-                            "steady-state solve collapsed to the zero vector");
-                    }
-                    for (double& v : x) {
-                        v /= batch_sum;
-                    }
+            // Raw-CSR wavefront kernel; its final sweep also accumulates
+            // the normalization sum.
+            const detail::QtCsrView m = detail::csr_view(op);
+            const double sum = detail::gauss_seidel_sweeps(m, x.data(), target - sweep);
+            if (want_residual) {
+                result.residual = detail::fused_normalize_residual(m, x.data(), sum, lambda);
+                ++result.residual_evaluations;
+            } else {
+                if (sum <= 0.0) {
+                    throw std::runtime_error(
+                        "steady-state solve collapsed to the zero vector");
+                }
+                for (double& v : x) {
+                    v /= sum;
                 }
             }
-        }
-        if (!fast_gs) {
-            (void)batch_sum;
-            normalize_x();
+        } else {
+            for (index_type s = sweep; s < target; ++s) {
+                detail::gauss_seidel_forward(op, x);
+            }
+            detail::normalize(x);
             if (want_residual) {
-                result.residual = detail::scaled_residual(op, x, lambda, exec);
+                result.residual = detail::scaled_residual(op, x, lambda);
                 ++result.residual_evaluations;
             }
         }
@@ -360,8 +251,8 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
     // break, or the forced evaluation at max_iterations), so this fallback
     // only fires when max_iterations left the loop body unentered.
     if (!have_residual) {
-        normalize_x();
-        result.residual = detail::scaled_residual(op, x, lambda, exec);
+        detail::normalize(x);
+        result.residual = detail::scaled_residual(op, x, lambda);
         ++result.residual_evaluations;
     }
     result.converged = result.residual <= options.tolerance;

@@ -1,85 +1,35 @@
-// Per-method solver kernels: serial Gauss-Seidel sweeps plus block-sharded
-// parallel kernels (Jacobi, power, red-black Gauss-Seidel, normalize,
-// residual). All sharded kernels partition the state range into a FIXED
-// number of contiguous blocks (kReductionBlocks, independent of the thread
-// count) and combine per-block partials in block order, so every result is
-// a pure function of the operator and the input vector — bitwise identical
-// whether the blocks run on 1, 2, or 16 threads. Blocks are claimed
-// dynamically from the pool, which load-balances rows of uneven degree.
+// Gauss-Seidel solver kernels: the generic one-sweep-at-a-time kernel for
+// any QtOperatorConcept (the matrix-free operator takes this path), the
+// normalization and residual reductions, and a raw-CSR fast path for the
+// explicit QtMatrix.
 //
-// Serial Gauss-Seidel additionally has a raw-CSR fast path
-// (gauss_seidel_sweeps on a QtCsrView) that pipelines several sweeps in a
-// wavefront: T sweeps are in flight at once, sweep s+t trailing sweep
-// s+t-1 by a row distance D > the matrix bandwidth, so every read sees
-// exactly the value a sequential sweep sequence would — the iterates are
-// bitwise identical to T back-to-back seed sweeps, but the per-row
-// dependency chain (accumulate -> divide, the serial solver's actual
-// bottleneck; the kernel is latency-bound, not bandwidth-bound) overlaps
-// across the T in-flight sweeps. Measured on the Fig. 10 M=10 chain
-// (126k states, bandwidth 1254): ~2x per sweep over the sequential loop.
+// The fast path (gauss_seidel_sweeps on a QtCsrView) pipelines several
+// sweeps in a wavefront: T sweeps are in flight at once, sweep s+t trailing
+// sweep s+t-1 by a row distance D > the matrix bandwidth, so every read
+// sees exactly the value a sequential sweep sequence would — the iterates
+// are bitwise identical to T back-to-back generic sweeps, but the per-row
+// dependency chain (accumulate -> divide, the solver's actual bottleneck;
+// the kernel is latency-bound, not bandwidth-bound) overlaps across the T
+// in-flight sweeps. Measured on the Fig. 10 M=10 chain (126k states,
+// bandwidth 1254): ~2x per sweep over the sequential loop.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "ctmc/solver_options.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
 namespace gprsim::ctmc {
 namespace detail {
 
-/// Fixed shard count for all blocked kernels. 64 keeps per-block state in
-/// one cache line's worth of partials while exposing enough slack for
-/// dynamic load balancing on any realistic core count.
-inline constexpr int kReductionBlocks = 64;
-
-struct BlockRange {
-    index_type begin = 0;
-    index_type end = 0;
-};
-
-/// Contiguous block `block` of [0, n) split into kReductionBlocks pieces.
-/// Depends only on n and the block id — never on the thread count.
-inline BlockRange reduction_block(index_type n, int block) {
-    const index_type per = (n + kReductionBlocks - 1) / kReductionBlocks;
-    const index_type begin = std::min(per * static_cast<index_type>(block), n);
-    return {begin, std::min(begin + per, n)};
-}
-
-/// Execution context for the blocked kernels: which pool to dispatch on
-/// and how many threads of it may participate. A default-constructed
-/// Executor runs inline — the serial path of every kernel.
-struct Executor {
-    common::ThreadPool* pool = nullptr;
-    int width = 1;  ///< cap on participating threads (pool may be wider)
-
-    /// Runs body(block) for every block; on the pool when one is given
-    /// (and the width allows it), inline in ascending block order
-    /// otherwise. The partition is fixed, so both paths — and any width —
-    /// produce bitwise identical results for the blocked kernels.
-    template <typename Body>
-    void for_each_block(Body&& body) const {
-        if (pool != nullptr && width > 1) {
-            pool->run(kReductionBlocks, [&](int b) { body(b); }, width);
-        } else {
-            for (int b = 0; b < kReductionBlocks; ++b) {
-                body(b);
-            }
-        }
-    }
-};
-
 // --- reductions ---------------------------------------------------------
 
-/// Serial left-to-right normalization — the seed solver's arithmetic; used
-/// by the strictly serial Gauss-Seidel family for bit-compatibility.
+/// Left-to-right normalization — the seed solver's arithmetic.
 inline void normalize(std::span<double> x) {
     double sum = 0.0;
     for (double v : x) {
@@ -93,83 +43,26 @@ inline void normalize(std::span<double> x) {
     }
 }
 
-/// Blocked sum: per-block partials combined in block order. Deterministic
-/// across thread counts (including the inline path).
-inline double blocked_sum(std::span<const double> x, const Executor& exec) {
-    const index_type n = static_cast<index_type>(x.size());
-    std::array<double, kReductionBlocks> partial{};
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        double s = 0.0;
-        for (index_type i = r.begin; i < r.end; ++i) {
-            s += x[static_cast<std::size_t>(i)];
-        }
-        partial[static_cast<std::size_t>(b)] = s;
-    });
-    double sum = 0.0;
-    for (double p : partial) {
-        sum += p;
-    }
-    return sum;
-}
-
-/// Thread-count-invariant normalization used by the parallel method family.
-inline void normalize_blocked(std::span<double> x, const Executor& exec) {
-    const double sum = blocked_sum(x, exec);
-    if (sum <= 0.0) {
-        throw std::runtime_error("steady-state solve collapsed to the zero vector");
-    }
-    const index_type n = static_cast<index_type>(x.size());
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        for (index_type i = r.begin; i < r.end; ++i) {
-            x[static_cast<std::size_t>(i)] /= sum;
-        }
-    });
-}
-
-/// max_i |(pi Q)_i| / Lambda for a normalized pi. Max combines exactly, so
-/// the sharded result is bitwise equal to the serial one for any partition.
+/// max_i |(pi Q)_i| / Lambda for a normalized pi.
 template <QtOperatorConcept Op>
-double scaled_residual(const Op& op, std::span<const double> x, double uniformization_rate,
-                       const Executor& exec = {}) {
-    const index_type n = op.size();
-    std::array<double, kReductionBlocks> partial{};
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        double worst = 0.0;
-        for (index_type i = r.begin; i < r.end; ++i) {
-            double acc = op.diagonal(i) * x[static_cast<std::size_t>(i)];
-            op.for_each_incoming(i, [&](index_type j, double rate) {
-                acc += rate * x[static_cast<std::size_t>(j)];
-            });
-            worst = std::max(worst, std::fabs(acc));
-        }
-        partial[static_cast<std::size_t>(b)] = worst;
-    });
+double scaled_residual(const Op& op, std::span<const double> x, double uniformization_rate) {
     double worst = 0.0;
-    for (double p : partial) {
-        worst = std::max(worst, p);
+    for (index_type i = 0; i < op.size(); ++i) {
+        double acc = op.diagonal(i) * x[static_cast<std::size_t>(i)];
+        op.for_each_incoming(i, [&](index_type j, double rate) {
+            acc += rate * x[static_cast<std::size_t>(j)];
+        });
+        worst = std::max(worst, std::fabs(acc));
     }
     return worst / uniformization_rate;
 }
 
-/// Lambda = max_i |Q_ii| (uniformization rate); exact under sharding.
+/// Lambda = max_i |Q_ii| (uniformization rate).
 template <QtOperatorConcept Op>
-double max_exit_rate(const Op& op, const Executor& exec = {}) {
-    const index_type n = op.size();
-    std::array<double, kReductionBlocks> partial{};
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        double lambda = 0.0;
-        for (index_type i = r.begin; i < r.end; ++i) {
-            lambda = std::max(lambda, -op.diagonal(i));
-        }
-        partial[static_cast<std::size_t>(b)] = lambda;
-    });
+double max_exit_rate(const Op& op) {
     double lambda = 0.0;
-    for (double p : partial) {
-        lambda = std::max(lambda, p);
+    for (index_type i = 0; i < op.size(); ++i) {
+        lambda = std::max(lambda, -op.diagonal(i));
     }
     if (lambda <= 0.0) {
         throw std::invalid_argument("generator has no transitions (all diagonal zero)");
@@ -179,116 +72,23 @@ double max_exit_rate(const Op& op, const Executor& exec = {}) {
 
 // --- sweep kernels ------------------------------------------------------
 
-/// One in-place Gauss-Seidel/SOR update of state i (the seed arithmetic).
+/// One in-place forward Gauss-Seidel sweep (the seed arithmetic).
 template <QtOperatorConcept Op>
-inline void gauss_seidel_update(const Op& op, std::span<double> x, double omega,
-                                index_type i) {
-    const double d = op.diagonal(i);
-    if (d == 0.0) {
-        return;  // isolated state keeps its (zero) mass
-    }
-    double acc = 0.0;
-    op.for_each_incoming(i, [&](index_type j, double rate) {
-        acc += rate * x[static_cast<std::size_t>(j)];
-    });
-    const double gs = acc / -d;
-    double& xi = x[static_cast<std::size_t>(i)];
-    xi = (1.0 - omega) * xi + omega * gs;
-    if (xi < 0.0) {
-        xi = 0.0;  // SOR overshoot guard; harmless for GS
-    }
-}
-
-template <QtOperatorConcept Op>
-void gauss_seidel_forward(const Op& op, std::span<double> x, double omega) {
-    const index_type n = op.size();
-    for (index_type i = 0; i < n; ++i) {
-        gauss_seidel_update(op, x, omega, i);
-    }
-}
-
-template <QtOperatorConcept Op>
-void gauss_seidel_backward(const Op& op, std::span<double> x, double omega) {
-    for (index_type i = op.size(); i-- > 0;) {
-        gauss_seidel_update(op, x, omega, i);
-    }
-}
-
-/// One Jacobi sweep: x <- D^{-1} R old, sharded over row blocks. Each x[i]
-/// depends only on `old`, so any partition gives identical results.
-template <QtOperatorConcept Op>
-void jacobi_sweep(const Op& op, std::span<const double> old, std::span<double> x,
-                  const Executor& exec) {
-    const index_type n = op.size();
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        for (index_type i = r.begin; i < r.end; ++i) {
-            const double d = op.diagonal(i);
-            double acc = 0.0;
-            op.for_each_incoming(i, [&](index_type j, double rate) {
-                acc += rate * old[static_cast<std::size_t>(j)];
-            });
-            x[static_cast<std::size_t>(i)] = d == 0.0 ? 0.0 : acc / -d;
+void gauss_seidel_forward(const Op& op, std::span<double> x) {
+    for (index_type i = 0; i < op.size(); ++i) {
+        const double d = op.diagonal(i);
+        if (d == 0.0) {
+            continue;  // isolated state keeps its (zero) mass
         }
-    });
-}
-
-/// One uniformized power step: x <- old + (old Q)/Lambda, sharded.
-template <QtOperatorConcept Op>
-void power_sweep(const Op& op, std::span<const double> old, std::span<double> x,
-                 double lambda, const Executor& exec) {
-    const index_type n = op.size();
-    exec.for_each_block([&](int b) {
-        const BlockRange r = reduction_block(n, b);
-        for (index_type i = r.begin; i < r.end; ++i) {
-            double acc = op.diagonal(i) * old[static_cast<std::size_t>(i)];
-            op.for_each_incoming(i, [&](index_type j, double rate) {
-                acc += rate * old[static_cast<std::size_t>(j)];
-            });
-            x[static_cast<std::size_t>(i)] =
-                old[static_cast<std::size_t>(i)] + acc / lambda;
-        }
-    });
-}
-
-/// One red-black Gauss-Seidel sweep. States are colored by index parity;
-/// each color phase computes updates for all of its states from the vector
-/// as it stood at the start of the phase (writes land in `scratch`, then
-/// commit), so within a phase the updates are order-independent and shard
-/// cleanly. Across phases the freshly committed opposite-color values are
-/// used, which is what makes this Gauss-Seidel-like rather than Jacobi.
-template <QtOperatorConcept Op>
-void red_black_sweep(const Op& op, std::span<double> x, std::span<double> scratch,
-                     const Executor& exec) {
-    const index_type n = op.size();
-    for (index_type color = 0; color < 2; ++color) {
-        exec.for_each_block([&](int b) {
-            const BlockRange r = reduction_block(n, b);
-            index_type i = r.begin + ((r.begin & 1) == color ? 0 : 1);
-            for (; i < r.end; i += 2) {
-                const double d = op.diagonal(i);
-                if (d == 0.0) {
-                    scratch[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
-                    continue;
-                }
-                double acc = 0.0;
-                op.for_each_incoming(i, [&](index_type j, double rate) {
-                    acc += rate * x[static_cast<std::size_t>(j)];
-                });
-                scratch[static_cast<std::size_t>(i)] = acc / -d;
-            }
+        double acc = 0.0;
+        op.for_each_incoming(i, [&](index_type j, double rate) {
+            acc += rate * x[static_cast<std::size_t>(j)];
         });
-        exec.for_each_block([&](int b) {
-            const BlockRange r = reduction_block(n, b);
-            index_type i = r.begin + ((r.begin & 1) == color ? 0 : 1);
-            for (; i < r.end; i += 2) {
-                x[static_cast<std::size_t>(i)] = scratch[static_cast<std::size_t>(i)];
-            }
-        });
+        x[static_cast<std::size_t>(i)] = acc / -d;
     }
 }
 
-// --- raw-CSR serial Gauss-Seidel fast path ------------------------------
+// --- raw-CSR Gauss-Seidel fast path -------------------------------------
 
 /// Borrowed contiguous view of a QtMatrix: off-diagonal CSR arrays plus the
 /// diagonal, with the assembly-time bandwidth. The pipelined sweep kernels
@@ -310,10 +110,8 @@ inline QtCsrView csr_view(const QtMatrix& qt) {
             off.value_data(), qt.diagonal_data(), off.bandwidth()};
 }
 
-/// One Gauss-Seidel update of row i on the raw view. Bitwise equal to
-/// gauss_seidel_update at omega == 1: there `xi = (1-1)*xi + 1*gs` is
-/// `+0.0 + gs` (xi is never negative), which is exactly `gs`, and the SOR
-/// overshoot clamp can never fire because acc >= 0 and -d > 0.
+/// One Gauss-Seidel update of row i on the raw view; the same arithmetic
+/// as a row of gauss_seidel_forward.
 inline void gs_row_update(const QtCsrView& m, double* x, index_type i) {
     const double d = m.diag[i];
     if (d == 0.0) {
@@ -381,17 +179,14 @@ void gs_wavefront_pass(const QtCsrView& m, double* x, index_type D, double* fina
     }
 }
 
-/// Runs `count` forward Gauss-Seidel sweeps (omega == 1) on the raw view,
-/// pipelined in wavefront groups of up to 4 sweeps. Bitwise identical to
-/// `count` sequential gauss_seidel_forward passes. When
-/// `accumulate_final_sum` is set, returns the left-to-right sum of x after
-/// the last sweep (equal to summing the final vector separately: the
-/// trailing chain writes rows in order, and skipped zero-diagonal rows
-/// contribute their unchanged value); otherwise returns 0.
-inline double gauss_seidel_sweeps(const QtCsrView& m, double* x, index_type count,
-                                  bool accumulate_final_sum) {
+/// Runs `count` forward Gauss-Seidel sweeps on the raw view, pipelined in
+/// wavefront groups of up to 4 sweeps. Bitwise identical to `count`
+/// sequential gauss_seidel_forward passes. Returns the left-to-right sum of
+/// x after the last sweep (equal to summing the final vector separately:
+/// the trailing chain writes rows in order, and skipped zero-diagonal rows
+/// contribute their unchanged value).
+inline double gauss_seidel_sweeps(const QtCsrView& m, double* x, index_type count) {
     double sum = 0.0;
-    double* const tail_sum = accumulate_final_sum ? &sum : nullptr;
     const index_type D = m.bandwidth + 8;  // > bandwidth: safe wavefront gap
     // Pipelining pays off only when the steady state dominates; tiny chains
     // (or near-dense bandwidth) run the plain sequential schedule (T == 1).
@@ -399,13 +194,13 @@ inline double gauss_seidel_sweeps(const QtCsrView& m, double* x, index_type coun
     index_type left = count;
     while (left > 0) {
         if (pipeline && left >= 4) {
-            gs_wavefront_pass<4>(m, x, D, left == 4 ? tail_sum : nullptr);
+            gs_wavefront_pass<4>(m, x, D, left == 4 ? &sum : nullptr);
             left -= 4;
         } else if (pipeline && left >= 2) {
-            gs_wavefront_pass<2>(m, x, D, left == 2 ? tail_sum : nullptr);
+            gs_wavefront_pass<2>(m, x, D, left == 2 ? &sum : nullptr);
             left -= 2;
         } else {
-            gs_wavefront_pass<1>(m, x, D, left == 1 ? tail_sum : nullptr);
+            gs_wavefront_pass<1>(m, x, D, left == 1 ? &sum : nullptr);
             left -= 1;
         }
     }

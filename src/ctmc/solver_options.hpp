@@ -15,7 +15,6 @@
 #include <functional>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -99,71 +98,27 @@ QtMatrix build_qt_matrix(index_type num_states, Outgoing&& outgoing) {
 }
 
 /// Iteration scheme used by SolverEngine::solve() / solve_steady_state().
+/// There is one: in-place forward Gauss-Seidel sweeps. The enum survives as
+/// the vocabulary of the spec-level `solver.method` strings, where "auto"
+/// is a second spelling of the same scheme.
 enum class SolveMethod {
-    /// In-place forward sweeps; the default. With the product-form warm
-    /// start of the GPRS model this needs roughly half the wall time of the
-    /// symmetric variant per unit of residual reduction. Strictly serial;
-    /// with num_threads > 1 the engine substitutes the red-black variant.
     gauss_seidel,
-    /// Forward + backward pass per sweep (2x cost per sweep); converges in
-    /// fewer sweeps on level-structured chains but rarely wins overall.
-    symmetric_gauss_seidel,
-    /// Gauss-Seidel with over-relaxation. NOTE: on this non-symmetric
-    /// generator large omega oscillates; kept for experimentation.
-    sor,
-    jacobi,  ///< two-vector sweeps (parallel across row shards)
-    power,   ///< uniformized power iteration pi <- pi (I + Q/Lambda)
-    /// Two-color Gauss-Seidel: states are split by index parity; each color
-    /// phase updates all of its states from a consistent snapshot (writes go
-    /// to a scratch half-vector, then commit), so the phase parallelizes
-    /// over row shards and the result is bitwise independent of the thread
-    /// count. Converges between Jacobi and serial Gauss-Seidel.
-    red_black_gauss_seidel,
-    /// Let the engine pick between serial Gauss-Seidel, red-black and
-    /// Jacobi from the state count and thread budget via the measured cost
-    /// model in engine.cpp (auto_select_method). The decision and its
-    /// reasoning land in SolveResult::method_used / SolveResult::reason.
-    /// Note an auto-selected gauss_seidel runs SERIALLY even when
-    /// num_threads > 1 — choosing the serial pipelined kernel over the
-    /// parallel methods is precisely the decision the cost model makes for
-    /// small chains and narrow thread budgets.
-    auto_select,
+    auto_select = gauss_seidel,
 };
 
-/// Canonical spelling of a method, as used by the eval/campaign layers and
-/// the benches ("gauss_seidel", "auto", ...).
-inline const char* method_name(SolveMethod method) {
-    switch (method) {
-        case SolveMethod::gauss_seidel:
-            return "gauss_seidel";
-        case SolveMethod::symmetric_gauss_seidel:
-            return "symmetric_gauss_seidel";
-        case SolveMethod::sor:
-            return "sor";
-        case SolveMethod::jacobi:
-            return "jacobi";
-        case SolveMethod::power:
-            return "power";
-        case SolveMethod::red_black_gauss_seidel:
-            return "red_black_gauss_seidel";
-        case SolveMethod::auto_select:
-            return "auto";
-    }
-    return "unknown";
-}
+/// Canonical spelling of a method ("gauss_seidel"). Since auto_select is
+/// an alias, it prints as "gauss_seidel" too.
+inline const char* method_name(SolveMethod) { return "gauss_seidel"; }
 
-/// Inverse of method_name; nullopt for unrecognized spellings (callers turn
-/// that into their own typed error).
+/// Inverse of method_name, also accepting "auto"; nullopt for any other
+/// spelling (callers turn that into their own typed error).
 inline std::optional<SolveMethod> method_from_name(std::string_view name) {
-    if (name == "gauss_seidel") return SolveMethod::gauss_seidel;
-    if (name == "symmetric_gauss_seidel") return SolveMethod::symmetric_gauss_seidel;
-    if (name == "sor") return SolveMethod::sor;
-    if (name == "jacobi") return SolveMethod::jacobi;
-    if (name == "power") return SolveMethod::power;
-    if (name == "red_black_gauss_seidel") return SolveMethod::red_black_gauss_seidel;
-    if (name == "auto") return SolveMethod::auto_select;
+    if (name == "gauss_seidel" || name == "auto") return SolveMethod::gauss_seidel;
     return std::nullopt;
 }
+
+/// The accepted method spellings, for error messages.
+inline constexpr const char* kMethodSpellings = "auto, gauss_seidel";
 
 struct SolveOptions {
     SolveMethod method = SolveMethod::gauss_seidel;
@@ -171,8 +126,6 @@ struct SolveOptions {
     /// Lambda = max_i |Q_ii| (a dimensionless residual).
     double tolerance = 1e-12;
     index_type max_iterations = 200000;
-    /// Relaxation factor for SolveMethod::sor (1 < omega < 2 accelerates).
-    double relaxation = 1.2;
     /// Normalization interval in sweeps. The iterate is renormalized at
     /// every multiple of `check_interval` (a fixed schedule — the division
     /// changes the iterate, so it must not depend on anything adaptive for
@@ -200,13 +153,9 @@ struct SolveOptions {
     /// identity because the state codec already stores the buffer level
     /// outermost).
     std::vector<index_type> permutation;
-    /// Execution width. 1 (default) runs serially; 0 means "all hardware
-    /// threads". For the parallel methods (jacobi, power,
-    /// red_black_gauss_seidel) results are bitwise identical for every
-    /// thread count. The Gauss-Seidel family is inherently sequential:
-    /// sor and symmetric_gauss_seidel run serially whatever the width,
-    /// while plain gauss_seidel upgrades to red_black_gauss_seidel when
-    /// more than one thread is requested.
+    /// Has no effect: every solve runs serially (campaign points, not
+    /// threads inside a solve, are the parallelism). Kept so existing
+    /// callers that set it still compile.
     int num_threads = 1;
     /// Warm start; empty means the uniform distribution. Non-negative,
     /// renormalized internally.
@@ -214,9 +163,7 @@ struct SolveOptions {
     /// Competing warm starts, in preference order: when non-empty the
     /// engine evaluates the scaled residual of every candidate (one O(nnz)
     /// pass each, no iterations consumed) and starts from the winner;
-    /// SolveResult::initial_selected reports the choice. The evaluation
-    /// uses the same block-ordered reduction as the solve, so the
-    /// selection is deterministic at every thread count. Mutually
+    /// SolveResult::initial_selected reports the choice. Mutually
     /// exclusive with `initial`.
     std::vector<std::vector<double>> initial_candidates;
     /// Preference margin for the candidate comparison: a later candidate
@@ -239,31 +186,12 @@ struct SolveResult {
     double residual = 0.0;
     bool converged = false;
     double seconds = 0.0;
-    /// Execution width actually used (after resolving num_threads == 0).
-    int threads_used = 1;
-    /// Method actually executed (gauss_seidel may upgrade to red-black).
-    SolveMethod method_used = SolveMethod::gauss_seidel;
     /// Index of the winning SolveOptions::initial_candidates entry;
     /// -1 when no candidate list was supplied.
     int initial_selected = -1;
     /// Number of scaled-residual evaluations the solve performed (each is
     /// an O(nnz) pass; adaptive_checks exists to shrink this).
     index_type residual_evaluations = 0;
-    /// Why method_used was chosen: the cost-model explanation for
-    /// SolveMethod::auto_select, the upgrade note when gauss_seidel was
-    /// promoted to red-black for a parallel run, empty when the caller's
-    /// explicit choice ran as-is.
-    std::string reason;
 };
-
-/// The auto_select decision for a chain of `n` states under a budget of
-/// `threads` (already resolved; >= 1): the method to run and the
-/// cost-model reasoning behind it. Deterministic in (n, threads) — the
-/// eval layer relies on per-point decisions being reproducible.
-struct AutoSelection {
-    SolveMethod method = SolveMethod::gauss_seidel;
-    std::string reason;
-};
-AutoSelection auto_select_method(index_type n, int threads);
 
 }  // namespace gprsim::ctmc

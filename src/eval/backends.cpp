@@ -202,8 +202,7 @@ public:
                                                     result.distribution);
             point.iterations = static_cast<long long>(result.iterations);
             point.residual = result.residual;
-            point.solver_method = ctmc::method_name(result.method_used);
-            point.solver_reason = result.reason;
+            point.solver_method = ctmc::method_name(solve.method);
             point.wall_seconds = result.seconds;
             return point;
         });
@@ -294,11 +293,8 @@ public:
                 ctmc::SolveOptions solve;
                 solve.tolerance = base.solver.tolerance;
                 solve.max_iterations = base.solver.max_iterations;
-                // Probed by validated(); "auto" resolves per point, and at
-                // width 1 the decision depends only on the state count, so
-                // provenance is identical at every executor thread count.
+                // Probed by validated().
                 solve.method = *ctmc::method_from_name(base.solver.method);
-                solve.num_threads = 1;  // the points are the parallelism
                 const int parent =
                     state->schedule.parent[static_cast<std::size_t>(index)];
                 if (parent >= 0) {
@@ -341,8 +337,7 @@ public:
                                                         result.distribution);
                 point.iterations = static_cast<long long>(result.iterations);
                 point.residual = result.residual;
-                point.solver_method = ctmc::method_name(result.method_used);
-                point.solver_reason = result.reason;
+                point.solver_method = ctmc::method_name(solve.method);
                 point.warm_parent = parent;
                 point.warm_started = result.initial_selected == 1;
                 point.wall_seconds = result.seconds;

@@ -33,7 +33,8 @@ common::Status ScenarioQuery::validated() const {
     }
     if (!ctmc::method_from_name(solver.method)) {
         return fail("solver.method \"" + solver.method +
-                    "\" is not a known iteration scheme");
+                    "\" is not a known iteration scheme (accepted: " +
+                    ctmc::kMethodSpellings + ")");
     }
     if (simulation.replications < 1) {
         return fail("simulation.replications must be at least 1");

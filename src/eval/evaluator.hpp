@@ -40,15 +40,9 @@ namespace gprsim::eval {
 struct SolverKnobs {
     double tolerance = 1e-9;
     long long max_iterations = 200000;
-    /// Iteration scheme, by canonical ctmc::method_name spelling
-    /// ("gauss_seidel", "red_black_gauss_seidel", "jacobi", ...). "auto"
-    /// (the default) lets the engine's cost model pick per point; the
-    /// decision and its reasoning land in PointEvaluation::solver_method /
-    /// solver_reason. Unknown spellings fail validated() with
-    /// invalid_query. Campaign points solve at width 1 (the points are the
-    /// parallelism), where auto deterministically picks serial
-    /// Gauss-Seidel — so the default produces bitwise the same measures as
-    /// explicit "gauss_seidel".
+    /// Iteration scheme: "gauss_seidel" or its second spelling "auto" (the
+    /// default); both run the one serial Gauss-Seidel scheme. Any other
+    /// spelling fails validated() with invalid_query.
     std::string method = "auto";
 };
 
@@ -146,10 +140,8 @@ struct PointEvaluation {
     // --- iterative provenance -------------------------------------------
     long long iterations = 0;
     double residual = 0.0;
-    /// Method the solve actually executed (ctmc::method_name spelling) and
-    /// why — the cost-model explanation when SolverKnobs::method was
-    /// "auto", the upgrade note when a serial method was promoted for a
-    /// parallel run, empty when the explicit choice ran as-is.
+    /// Method the evaluation ran ("gauss_seidel" for ctmc, the inner
+    /// backend for network-fp, ...) and, where a backend chose it, why.
     std::string solver_method;
     std::string solver_reason;
     /// Grid index whose warm-start information this point was offered;

@@ -175,10 +175,11 @@ void CampaignService::process(const Pending& pending) {
     const std::vector<double>& rates = workload.effective.rates;
     const bool warm_start = workload.effective.solver.warm_start;
 
-    // Evaluate every (backend, variant) slice through the shared store.
-    // This is EXACTLY the sequential-dispatch path of CampaignRunner::run —
-    // same queries, same grid offsets, same GridOptions — so the assembled
-    // CSV is byte-identical to a one-shot CLI run of the same spec.
+    // Evaluate every (backend, variant) slice through the shared store, one
+    // evaluate_grid per slice with the same queries and grid offsets as
+    // CampaignRunner::run's merged batch. Every backend's evaluate_grid is
+    // bitwise equal to its slice of the batch, so the assembled CSV is
+    // byte-identical to a one-shot CLI run of the same spec.
     std::vector<std::vector<eval::GridOutcome>> outcomes;
     outcomes.reserve(methods.size());
     for (const std::string& method : methods) {

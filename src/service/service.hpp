@@ -22,8 +22,9 @@
 // byte what write_campaign_csv produces for the same spec in-process —
 // regardless of service concurrency, queue order, or whether slices came
 // out of the shared WarmStore. This holds because (a) every slice is
-// evaluated through the exact sequential-dispatch path (per-(backend,
-// variant) evaluate_grid with the workload's grid_offset) and (b) the
+// evaluated by a per-(backend, variant) evaluate_grid with the workload's
+// grid_offset, which every backend keeps bitwise equal to its slice of the
+// merged campaign batch, and (b) the
 // store memoizes finished GridOutcomes keyed by the exhaustive slice
 // signature — it never transfers warm-start state ACROSS requests, which
 // would change the iterations/warm_parent CSV columns.

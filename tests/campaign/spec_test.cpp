@@ -221,6 +221,29 @@ TEST(ParseSpecErrors, UnknownNestedKeyCarriesItsLine) {
                             4, "unknown \"solver\" key");
 }
 
+TEST(ParseSpecErrors, RemovedSolverMethodRejectedWithAcceptedSpellings) {
+    for (const char* method : {"jacobi", "power", "sor", "symmetric_gauss_seidel",
+                               "red_black_gauss_seidel"}) {
+        expect_rejected_at_line(std::string(R"({
+      "rates": [0.5],
+      "solver": {
+        "method": ")") + method + R"("
+      }
+    })",
+                                4, "(accepted: auto, gauss_seidel)");
+        // Builder-made specs (and the runner's method override) hit the
+        // same check in validate().
+        ScenarioSpec spec;
+        spec.with_rates({0.5}).with_solver_method(method);
+        EXPECT_THROW(spec.validate(), SpecError) << method;
+    }
+    for (const char* method : {"auto", "gauss_seidel"}) {
+        const std::string text =
+            std::string(R"({"rates": [0.5], "solver": {"method": ")") + method + "\"}}";
+        EXPECT_EQ(parse_spec(text).solver.method, method);
+    }
+}
+
 TEST(ParseSpecErrors, WrongTypeCarriesItsLine) {
     expect_rejected_at_line(R"({
       "rates": [0.5],

@@ -13,8 +13,11 @@
 namespace gprsim::core {
 namespace {
 
+// The label is held inline, not as a std::string: gtest prints the raw bytes
+// of the parameter into the ctest test name, and a string's heap pointer
+// would make that name change on every run.
 struct ConfigCase {
-    std::string label;
+    char label[32];
     int total_channels;
     int reserved_pdch;
     int buffer_capacity;

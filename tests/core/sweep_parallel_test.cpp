@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/model.hpp"
@@ -144,6 +145,45 @@ TEST(ScenarioBatch, SerialAndParallelAgree) {
         // Identical solver options and warm starts: bitwise equal.
         EXPECT_EQ(a[i].iterations, b[i].iterations);
         EXPECT_EQ(a[i].measures.carried_data_traffic, b[i].measures.carried_data_traffic);
+    }
+}
+
+/// Bitwise comparison of every measure a point carries.
+void expect_measures_bitwise_equal(const Measures& a, const Measures& b, std::size_t i) {
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof(Measures)), 0) << "point " << i;
+}
+
+TEST(ParallelSweep, SolveThreadCountNeverChangesTheAnswer) {
+    // SolveOptions::num_threads has no effect: a chain solve is serial
+    // Gauss-Seidel whatever width it is handed, so the answer and the
+    // sweep count never depend on it. The cell is tiny on purpose: no
+    // state-count threshold may gate this.
+    ctmc::SolverEngine engine(4);
+    ctmc::SolveOptions narrow;
+    narrow.tolerance = 1e-12;
+    ctmc::SolveOptions wide = narrow;
+    wide.num_threads = 4;
+    GprsModel a(small_config());
+    GprsModel b(small_config());
+    const ctmc::SolveResult& one = a.solve(narrow, engine);
+    const ctmc::SolveResult& four = b.solve(wide, engine);
+    EXPECT_EQ(four.iterations, one.iterations);
+    EXPECT_EQ(four.distribution, one.distribution);
+
+    // A serial sweep forwards solve.num_threads into every point's solve.
+    const std::vector<double> rates{0.3, 0.6, 0.9};
+    ScenarioSweep sweeps(engine);
+    SweepOptions serial;
+    serial.solve = narrow;
+    SweepOptions forwarded = serial;
+    forwarded.solve.num_threads = 4;
+    ASSERT_FALSE(forwarded.parallel_points);
+    const auto expected = sweeps.call_arrival_rate(small_config(), rates, serial);
+    const auto points = sweeps.call_arrival_rate(small_config(), rates, forwarded);
+    ASSERT_EQ(points.size(), expected.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(points[i].iterations, expected[i].iterations) << "point " << i;
+        expect_measures_bitwise_equal(points[i].measures, expected[i].measures, i);
     }
 }
 

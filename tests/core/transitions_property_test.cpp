@@ -14,8 +14,12 @@
 namespace gprsim::core {
 namespace {
 
+// gtest prints a parameter that has no printer as its raw bytes, and those
+// bytes end up in the ctest test name. The label is held inline so that the
+// name is the same on every build; a std::string would contribute its heap
+// pointer, which address-space randomisation changes on every run.
 struct TransitionCase {
-    std::string label;
+    char label[32];
     int total_channels;
     int reserved_pdch;
     int buffer_capacity;

@@ -76,12 +76,7 @@ TEST_P(SolverMethods, MatchesGthOnRandomChains) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, SolverMethods,
-                         ::testing::Values(SolveMethod::gauss_seidel,
-                                           SolveMethod::symmetric_gauss_seidel,
-                                           SolveMethod::sor, SolveMethod::jacobi,
-                                           SolveMethod::power,
-                                           SolveMethod::red_black_gauss_seidel,
-                                           SolveMethod::auto_select),
+                         ::testing::Values(SolveMethod::gauss_seidel),
                          [](const auto& info) { return method_name(info.param); });
 
 TEST(Solver, TwoStateChainExact) {
@@ -133,11 +128,6 @@ TEST(Solver, RejectsBadInputs) {
     SolveOptions options;
     options.initial = {1.0};  // wrong size
     EXPECT_THROW(solve_steady_state(qt, options), std::invalid_argument);
-
-    SolveOptions bad_relax;
-    bad_relax.method = SolveMethod::sor;
-    bad_relax.relaxation = 2.5;
-    EXPECT_THROW(solve_steady_state(qt, bad_relax), std::invalid_argument);
 }
 
 TEST(Solver, ProgressCallbackIsInvoked) {

@@ -198,15 +198,13 @@ TEST(CtmcBackend, WarmGridReportsTransfersAndAgreesWithCold) {
 }
 
 TEST(CtmcBackend, AutoMethodProvenanceIsRecordedAndThreadStable) {
-    // The default solver.method is "auto". Campaign/grid points always solve
-    // at width 1 (the points are the parallelism), so the cost model sees
-    // only the state count and the recorded decision must not depend on the
-    // grid's thread budget.
+    // The default solver.method is "auto", a second spelling of serial
+    // Gauss-Seidel: provenance records the scheme, and neither it nor the
+    // measures depend on the grid's thread budget.
     const ScenarioQuery query = tiny_query();
     auto point = backend("ctmc").evaluate(query);
     ASSERT_TRUE(point.ok());
     EXPECT_EQ(point.value().solver_method, "gauss_seidel");
-    EXPECT_FALSE(point.value().solver_reason.empty());
 
     const std::vector<double> rates{0.3, 0.5, 0.7};
     GridOptions narrow;
@@ -223,8 +221,6 @@ TEST(CtmcBackend, AutoMethodProvenanceIsRecordedAndThreadStable) {
         EXPECT_EQ(serial.value()[i].solver_method, "gauss_seidel") << i;
         EXPECT_EQ(sharded.value()[i].solver_method, serial.value()[i].solver_method)
             << i;
-        EXPECT_EQ(sharded.value()[i].solver_reason, serial.value()[i].solver_reason)
-            << i;
         EXPECT_EQ(sharded.value()[i].measures.carried_data_traffic,
                   serial.value()[i].measures.carried_data_traffic)
             << i;
@@ -237,10 +233,9 @@ TEST(CtmcBackend, ExplicitMethodIsHonoredAndRecorded) {
     auto explicit_gs = backend("ctmc").evaluate(query);
     ASSERT_TRUE(explicit_gs.ok());
     EXPECT_EQ(explicit_gs.value().solver_method, "gauss_seidel");
-    // An explicit method carries no cost-model rationale.
     EXPECT_TRUE(explicit_gs.value().solver_reason.empty());
 
-    // auto resolves to the same serial solve on this cell: bitwise equal.
+    // auto is the same serial solve: bitwise equal.
     ScenarioQuery auto_query = tiny_query();
     auto_query.solver.method = "auto";
     auto picked = backend("ctmc").evaluate(auto_query);
@@ -251,12 +246,21 @@ TEST(CtmcBackend, ExplicitMethodIsHonoredAndRecorded) {
 }
 
 TEST(CtmcBackend, UnknownSolverMethodIsTypedInvalidQuery) {
-    ScenarioQuery query = tiny_query();
-    query.solver.method = "bogus_scheme";
-    auto point = backend("ctmc").evaluate(query);
-    ASSERT_FALSE(point.ok());
-    EXPECT_EQ(point.error().code, common::EvalErrorCode::invalid_query);
-    EXPECT_NE(point.error().message.find("bogus_scheme"), std::string::npos);
+    // The removed iteration schemes are rejected like any unknown one, and
+    // the message lists the accepted spellings.
+    for (const char* method : {"bogus_scheme", "jacobi", "power", "sor",
+                               "symmetric_gauss_seidel", "red_black_gauss_seidel"}) {
+        ScenarioQuery query = tiny_query();
+        query.solver.method = method;
+        EXPECT_FALSE(query.validated().ok()) << method;
+        auto point = backend("ctmc").evaluate(query);
+        ASSERT_FALSE(point.ok()) << method;
+        EXPECT_EQ(point.error().code, common::EvalErrorCode::invalid_query) << method;
+        EXPECT_NE(point.error().message.find(method), std::string::npos);
+        EXPECT_NE(point.error().message.find("accepted: auto, gauss_seidel"),
+                  std::string::npos)
+            << point.error().message;
+    }
 }
 
 TEST(DesBackend, ProvenanceCarriesReplicationsAndCis) {
