@@ -8,6 +8,8 @@
 //                per (point, wave) — so a merged campaign solves all cells
 //                of all points of one iteration concurrently, and output
 //                stays bitwise invariant to thread count and dispatch mode.
+//                One inner-solve memo per plan, shared by every point, so
+//                each distinct cell problem of the batch is solved once.
 //   network-des  replications of the detailed simulator in network mode
 //                (per-cell parameters, weighted handover targets, routing
 //                areas, per-cell measurement), pooled like the des backend
@@ -134,7 +136,11 @@ public:
     /// finished. Converged points no-op their remaining waves; finish()
     /// folds the last executed wave inside the serial collect. The call
     /// sequence is identical to the serial solve() loop, so results are
-    /// bitwise invariant to thread count and to merging.
+    /// bitwise invariant to thread count and to merging. Every point's
+    /// cell solves go through the plan's one inner-solve memo, sized to
+    /// the widest wave so one wave's distinct problems always fit; lookups
+    /// happen only inside running tasks, so a follower's wait never blocks
+    /// a queued leader.
     GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                         std::span<const double> rates,
                         const GridOptions& options) override {
@@ -160,6 +166,7 @@ public:
             std::vector<std::vector<std::unique_ptr<PointRun>>> runs;  ///< [q][i]
             std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
             std::mutex progress_mutex;
+            std::unique_ptr<network::InnerMemo> memo;  ///< set once the plan is laid out
         };
         const std::size_t nq = queries.size();
         const std::size_t n = rates.size();
@@ -214,11 +221,13 @@ public:
             if (wave > 0) {
                 std::call_once(run->advanced[wave - 1], [run] { run->fp.advance(); });
             }
-            run->fp.solve_cell(cell);
+            run->fp.solve_cell(cell, *state->memo);
         };
 
         GridPlan plan;
+        std::size_t widest = 0;
         for (std::size_t wave = 0; wave < max_waves; ++wave) {
+            const std::size_t before = plan.tasks.size();
             for (std::size_t q = 0; q < nq; ++q) {
                 for (std::size_t i = 0; i < n; ++i) {
                     PointRun* run = state->runs[q][i].get();
@@ -233,7 +242,9 @@ public:
                     }
                 }
             }
+            widest = std::max(widest, plan.tasks.size() - before);
         }
+        state->memo = std::make_unique<network::InnerMemo>(widest);
 
         plan.collect = [this, state, nq, n, progress = options.progress,
                         batch_clock = WallClock()] {

@@ -116,6 +116,7 @@ NetworkFixedPoint::NetworkFixedPoint(CellLattice lattice, const MobilityModel& m
     impl_->lattice = std::move(lattice);
     impl_->matrices = build_mobility(impl_->lattice, mobility);
     impl_->base_query = cell_query;
+    impl_->base_query.network = eval::NetworkKnobs{};  // outer knobs: not in the key
     impl_->inner = &inner;
     impl_->options = options;
 
@@ -152,7 +153,7 @@ int NetworkFixedPoint::cell_count() const { return impl_->lattice.size(); }
 bool NetworkFixedPoint::done() const { return impl_->done; }
 int NetworkFixedPoint::iterations() const { return impl_->iterations; }
 
-void NetworkFixedPoint::solve_cell(int cell) {
+void NetworkFixedPoint::solve_cell(int cell, InnerMemo& memo) {
     Impl& s = *impl_;
     if (s.done) {
         return;
@@ -163,7 +164,9 @@ void NetworkFixedPoint::solve_cell(int cell) {
     query.parameters.gsm_handover_in = s.in_v[c];
     query.parameters.gprs_handover_in = s.in_s[c];
     query.call_arrival_rate = query.parameters.call_arrival_rate;
-    common::Result<eval::PointEvaluation> point = s.inner->evaluate(query);
+    const common::Result<eval::PointEvaluation> point =
+        memo.get_or_compute(eval::query_signature(s.inner->name(), query),
+                            [&] { return s.inner->evaluate(query); });
     Impl::CellSlot& slot = s.slots[c];
     if (!point.ok()) {
         slot.error = std::make_unique<EvalError>(point.error());
@@ -267,9 +270,11 @@ common::Result<NetworkSolution> NetworkFixedPoint::finish() {
 }
 
 common::Result<NetworkSolution> NetworkFixedPoint::solve() {
+    // One iteration's cells are the widest set of problems alive at once.
+    InnerMemo memo(static_cast<std::size_t>(cell_count()));
     while (!done()) {
         for (int c = 0; c < cell_count(); ++c) {
-            solve_cell(c);
+            solve_cell(c, memo);
         }
         advance();
     }

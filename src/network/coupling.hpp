@@ -15,6 +15,18 @@
 // the paper's self-balanced single cell the exact fixed point, which the
 // network symmetry tests pin to 1e-10.
 //
+// Inner-solve memo: solve_cell() looks its inner query up in an
+// eval::Memo keyed by eval::query_signature(inner backend, inner query),
+// so identical cell problems — every cell of a homogeneous lattice, and
+// the same cell at the same speed and rate in every lattice of a campaign
+// — are solved once. The leader calls the inner backend; followers copy
+// its result. Inner backends are pure functions of their query, so a copy
+// is bit-identical to a fresh solve and the per-cell slot receives the
+// same measures and iterations either way. The inner query's network
+// block is reset to eval::NetworkKnobs{}: it carries the OUTER problem's
+// knobs, which no single-cell backend reads, and would otherwise keep
+// lattices of different shapes from ever sharing a key.
+//
 // Determinism contract: solve_cell() calls within one outer iteration are
 // independent (they read the iteration's frozen inflows and write disjoint
 // per-cell slots), and every reduction — the inflow update, residuals,
@@ -30,6 +42,7 @@
 #include "common/result.hpp"
 #include "core/measures.hpp"
 #include "eval/evaluator.hpp"
+#include "eval/memo.hpp"
 #include "network/lattice.hpp"
 #include "network/mobility.hpp"
 
@@ -61,16 +74,21 @@ struct NetworkSolution {
 /// vector sums to zero.
 core::Measures aggregate_measures(const std::vector<core::Measures>& cells);
 
+/// Memo of finished inner single-cell evaluations (see above). Its owner
+/// scopes reuse: solve() owns one per call, the network-fp plan one per
+/// plan shared by every point of the batch.
+using InnerMemo = eval::Memo<common::Result<eval::PointEvaluation>>;
+
 /// One network fixed-point computation, exposed as separate phases so the
 /// network-fp backend can lay the per-cell solves of each outer iteration
 /// onto a shared thread pool as one wave of tasks:
 ///
-///   while (!done()) { solve_cell(0..n-1)  [any order / concurrently];
-///                     advance()           [serial, once per iteration]; }
+///   while (!done()) { solve_cell(0..n-1, memo)  [any order / concurrently];
+///                     advance()                 [serial, once per iteration]; }
 ///   finish()
 ///
-/// solve() runs that loop serially — same calls, same order, bitwise the
-/// same result.
+/// solve() runs that loop serially with a memo of its own — same calls,
+/// same order, bitwise the same result.
 class NetworkFixedPoint {
 public:
     /// `cell_query` supplies the per-cell knob blocks (solver, approx) and
@@ -87,9 +105,10 @@ public:
     bool done() const;
     int iterations() const;
 
-    /// Solves cell `cell` at the current iteration's pinned inflows.
+    /// Solves cell `cell` at the current iteration's pinned inflows
+    /// through `memo` (which may be shared with other fixed points).
     /// Thread-safe across DISTINCT cells of one iteration; never throws.
-    void solve_cell(int cell);
+    void solve_cell(int cell, InnerMemo& memo);
     /// Folds the iteration's cell solves into new damped inflows and the
     /// convergence decision. Serial; call exactly once after each full
     /// round of solve_cell().

@@ -20,6 +20,23 @@ Frame error_frame(std::uint64_t id, const common::EvalError& error) {
 
 }  // namespace
 
+std::string slice_signature(const std::string& backend, const eval::ScenarioQuery& query,
+                            const std::vector<double>& rates, bool warm_start,
+                            std::uint64_t grid_offset) {
+    std::string sig = eval::query_signature(backend, query);
+    char buffer[40];
+    std::snprintf(buffer, sizeof(buffer), "%zu,", rates.size());
+    sig += buffer;
+    for (const double rate : rates) {
+        std::snprintf(buffer, sizeof(buffer), "%a,", rate);  // hexfloat, as the query's
+        sig += buffer;
+    }
+    std::snprintf(buffer, sizeof(buffer), "%d,%llu,", warm_start ? 1 : 0,
+                  static_cast<unsigned long long>(grid_offset));
+    sig += buffer;
+    return sig;
+}
+
 CampaignService::CampaignService(ServiceOptions options)
     : options_(std::move(options)), store_(options_.store_capacity),
       pool_(options_.num_threads) {
@@ -203,29 +220,26 @@ void CampaignService::process(const Pending& pending) {
                 slice_signature(method, query, rates, warm_start, offset);
 
             bool hit = false;
-            WarmStore::Ticket ticket = store_.acquire(signature, hit);
-            stats_.record_store(hit);
-            std::optional<eval::GridOutcome> slice;
-            if (!ticket.leader()) {
-                slice = ticket.wait();  // nullopt = promoted to leader
-            }
-            if (!slice.has_value()) {
-                eval::GridOptions grid;
-                grid.num_threads = options_.num_threads;
-                grid.pool = options_.num_threads > 1 ? &pool_ : nullptr;
-                grid.warm_start = warm_start;
-                grid.grid_offset = offset;
-                eval::GridOutcome computed = evaluator.value()->evaluate_grid(
-                    query, std::span<const double>(rates), grid);
-                if (computed.ok()) {
-                    for (const eval::PointEvaluation& point : computed.value()) {
-                        stats_.record_point(point.wall_seconds);
+            eval::GridOutcome slice = store_.get_or_compute(
+                signature,
+                [&] {
+                    eval::GridOptions grid;
+                    grid.num_threads = options_.num_threads;
+                    grid.pool = options_.num_threads > 1 ? &pool_ : nullptr;
+                    grid.warm_start = warm_start;
+                    grid.grid_offset = offset;
+                    eval::GridOutcome computed = evaluator.value()->evaluate_grid(
+                        query, std::span<const double>(rates), grid);
+                    if (computed.ok()) {
+                        for (const eval::PointEvaluation& point : computed.value()) {
+                            stats_.record_point(point.wall_seconds);
+                        }
                     }
-                }
-                ticket.publish(computed);
-                slice.emplace(std::move(computed));
-            }
-            per_variant.push_back(std::move(*slice));
+                    return computed;
+                },
+                &hit);
+            stats_.record_store(hit);
+            per_variant.push_back(std::move(slice));
         }
         outcomes.push_back(std::move(per_variant));
     }

@@ -3,8 +3,9 @@
 //   server layer    (server.hpp) unix socket / stdio framing, one reader
 //                   thread per connection, one forwarder per request
 //   service layer   (this file) admission control, the bounded request
-//                   queue, the worker pool, the shared WarmStore, trace
-//                   ingestion, rolling stats
+//                   queue, the worker pool, the shared warm store (an
+//                   eval::Memo of slice outcomes), trace ingestion,
+//                   rolling stats
 //   campaign layer  build_campaign_workload / assemble_campaign /
 //                   write_campaign_csv — the same front and back halves a
 //                   one-shot `gprsim_cli campaign` run uses
@@ -21,7 +22,7 @@
 // Determinism contract: a request's concatenated csv payloads are byte-for-
 // byte what write_campaign_csv produces for the same spec in-process —
 // regardless of service concurrency, queue order, or whether slices came
-// out of the shared WarmStore. This holds because (a) every slice is
+// out of the shared warm store. This holds because (a) every slice is
 // evaluated by a per-(backend, variant) evaluate_grid with the workload's
 // grid_offset, which every backend keeps bitwise equal to its slice of the
 // merged campaign batch, and (b) the
@@ -44,10 +45,10 @@
 
 #include "common/result.hpp"
 #include "common/thread_pool.hpp"
+#include "eval/memo.hpp"
 #include "service/ring.hpp"
 #include "service/stats.hpp"
 #include "service/trace.hpp"
-#include "service/warm_store.hpp"
 
 namespace gprsim::service {
 
@@ -147,7 +148,7 @@ private:
 
     const ServiceOptions options_;
     RollingStats stats_;
-    WarmStore store_;
+    eval::Memo<eval::GridOutcome> store_;
     TraceIngest traces_;
     common::ThreadPool pool_;  ///< shared slice pool (idle when num_threads <= 1)
 
@@ -157,5 +158,14 @@ private:
     bool stopping_ = false;
     std::vector<std::thread> workers_;
 };
+
+/// The warm store's key for one (backend, variant) slice: the exhaustive
+/// eval::query_signature plus the slice suffix — the rate grid, the
+/// warm-start flag, and the substream grid offset. Two slices with equal
+/// signatures are guaranteed to produce bit-identical GridOutcomes under
+/// the determinism contract.
+std::string slice_signature(const std::string& backend, const eval::ScenarioQuery& query,
+                            const std::vector<double>& rates, bool warm_start,
+                            std::uint64_t grid_offset);
 
 }  // namespace gprsim::service

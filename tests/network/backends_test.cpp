@@ -4,7 +4,9 @@
 // backends.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,10 +43,51 @@ ScenarioQuery tiny_network_query() {
 }
 
 std::vector<ScenarioQuery> network_variants() {
-    std::vector<ScenarioQuery> queries(2, tiny_network_query());
+    std::vector<ScenarioQuery> queries(3, tiny_network_query());
     queries[1].parameters.gprs_fraction = 0.2;
     queries[1].network.speed_kmh = 30.0;
+    // Open boundary with drift: cells differ in inflow, so the inner-solve
+    // memo must keep them apart.
+    queries[2].network.cells_x = 3;
+    queries[2].network.wrap = false;
+    queries[2].network.drift = 0.3;
     return queries;
+}
+
+/// Inner calls seen by the counting backend below.
+std::atomic<long long> g_inner_calls{0};
+
+/// Delegates to the registered "ctmc" backend and counts each call.
+class CountingInner final : public Evaluator {
+public:
+    explicit CountingInner(Evaluator& inner) : inner_(inner) {}
+    const std::string& name() const override {
+        static const std::string n = "counting-ctmc";
+        return n;
+    }
+    const std::string& description() const override {
+        static const std::string d = "ctmc, counted by the network backend tests";
+        return d;
+    }
+    common::Result<PointEvaluation> evaluate(const ScenarioQuery& query) override {
+        ++g_inner_calls;
+        return inner_.evaluate(query);
+    }
+
+private:
+    Evaluator& inner_;
+};
+
+void register_counting_inner() {
+    // Resolved here, not in the factory: the registry runs factories under
+    // its own lock.
+    static const bool registered = [] {
+        Evaluator* ctmc = &backend("ctmc");
+        return register_backend("counting-ctmc", "ctmc, counted",
+                                [ctmc] { return std::make_unique<CountingInner>(*ctmc); })
+            .ok();
+    }();
+    ASSERT_TRUE(registered);
 }
 
 void expect_bitwise_equal(const PointEvaluation& a, const PointEvaluation& b) {
@@ -114,6 +157,49 @@ TEST(NetworkBackends, GridsAreBitwiseThreadCountInvariant) {
             for (std::size_t i = 0; i < rates.size(); ++i) {
                 expect_bitwise_equal(serial[q].value()[i], parallel[q].value()[i]);
             }
+        }
+    }
+}
+
+TEST(NetworkBackends, IdenticalCellProblemsSolveOncePerPlan) {
+    register_counting_inner();
+    // Homogeneous wrapped lattices: 2 sizes x 2 speeds, 3 rates. Every cell
+    // of every lattice at one (speed, rate) is the same pinned problem, and
+    // the self-balanced start converges in one outer iteration.
+    std::vector<ScenarioQuery> queries;
+    for (const int cells : {1, 2}) {
+        for (const double speed : {3.0, 30.0}) {
+            ScenarioQuery query = tiny_network_query();
+            query.network.cells_x = cells;
+            query.network.cells_y = cells;
+            query.network.speed_kmh = speed;
+            query.network.inner_backend = "counting-ctmc";
+            queries.push_back(query);
+        }
+    }
+    const std::vector<double> rates{0.3, 0.4, 0.5};
+    const long long distinct = 2 * static_cast<long long>(rates.size());
+
+    g_inner_calls = 0;
+    auto serial = backend("network-fp").evaluate_grids(queries, rates);
+    EXPECT_EQ(g_inner_calls.load(), distinct);
+
+    common::ThreadPool pool(4);
+    GridOptions wide;
+    wide.num_threads = 4;
+    wide.pool = &pool;
+    auto parallel = backend("network-fp").evaluate_grids(queries, rates, wide);
+    // The memo lives for one plan: the second grid pays for its own solves.
+    EXPECT_EQ(g_inner_calls.load(), 2 * distinct);
+
+    ASSERT_EQ(serial.size(), queries.size());
+    ASSERT_EQ(parallel.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_TRUE(serial[q].ok()) << serial[q].error().to_string();
+        ASSERT_TRUE(parallel[q].ok()) << parallel[q].error().to_string();
+        for (std::size_t i = 0; i < rates.size(); ++i) {
+            EXPECT_EQ(serial[q].value()[i].iterations, 1);
+            expect_bitwise_equal(serial[q].value()[i], parallel[q].value()[i]);
         }
     }
 }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "eval/backends.hpp"
 #include "eval/registry.hpp"
@@ -70,49 +71,69 @@ TEST(NetworkSymmetry, HomogeneousLatticeReproducesSingleCell) {
 }
 
 TEST(NetworkSymmetry, PhaseApiMatchesSerialSolveBitwise) {
-    LatticeSpec spec;
-    spec.width = 2;
-    spec.height = 2;
-    spec.cell = tiny_query().resolved_parameters();
+    struct Case {
+        const char* name;
+        LatticeSpec spec;
+        MobilityModel mobility;
+    };
+    std::vector<Case> cases(2);
     // Reuse heterogeneity forces a real outer iteration, exercising more
     // than the converge-immediately path. The pool must be odd: 7 channels
     // split 4/3 across the two reuse groups (6 would split evenly and keep
     // the lattice homogeneous).
-    spec.cell.total_channels = 7;
-    spec.reuse_factor = 2;
-    const MobilityModel mobility;
+    cases[0].name = "reuse";
+    cases[0].spec.width = 2;
+    cases[0].spec.height = 2;
+    cases[0].spec.cell = tiny_query().resolved_parameters();
+    cases[0].spec.cell.total_channels = 7;
+    cases[0].spec.reuse_factor = 2;
+    // Open boundary with eastward drift: edge and interior cells see
+    // different inflows, so no two cells may share an inner-memo entry.
+    cases[1].name = "open_drift";
+    cases[1].spec.width = 3;
+    cases[1].spec.height = 2;
+    cases[1].spec.wrap = false;
+    cases[1].spec.cell = tiny_query().resolved_parameters();
+    cases[1].mobility.drift = 0.3;
+
     const ScenarioQuery query = tiny_query();
     eval::Evaluator& inner = *BackendRegistry::global().find("ctmc").value();
     NetworkOptions options;
     options.tolerance = 1e-10;
 
-    NetworkFixedPoint serial(CellLattice::build(spec), mobility, query, inner, options);
-    auto reference = serial.solve();
-    ASSERT_TRUE(reference.ok()) << reference.error().to_string();
-    EXPECT_GT(reference.value().outer_iterations, 1);
+    for (const Case& tc : cases) {
+        SCOPED_TRACE(tc.name);
+        NetworkFixedPoint serial(CellLattice::build(tc.spec), tc.mobility, query, inner,
+                                 options);
+        auto reference = serial.solve();
+        ASSERT_TRUE(reference.ok()) << reference.error().to_string();
+        EXPECT_GT(reference.value().outer_iterations, 1);
 
-    NetworkFixedPoint phased(CellLattice::build(spec), mobility, query, inner, options);
-    while (!phased.done()) {
-        // Reverse cell order: solve_cell calls within one iteration must
-        // commute (they read frozen inflows, write disjoint slots).
-        for (int cell = phased.cell_count() - 1; cell >= 0; --cell) {
-            phased.solve_cell(cell);
+        NetworkFixedPoint phased(CellLattice::build(tc.spec), tc.mobility, query, inner,
+                                 options);
+        InnerMemo memo(static_cast<std::size_t>(phased.cell_count()));
+        while (!phased.done()) {
+            // Reverse cell order: solve_cell calls within one iteration must
+            // commute (they read frozen inflows, write disjoint slots).
+            for (int cell = phased.cell_count() - 1; cell >= 0; --cell) {
+                phased.solve_cell(cell, memo);
+            }
+            phased.advance();
         }
-        phased.advance();
-    }
-    auto result = phased.finish();
-    ASSERT_TRUE(result.ok()) << result.error().to_string();
+        auto result = phased.finish();
+        ASSERT_TRUE(result.ok()) << result.error().to_string();
 
-    const NetworkSolution& a = reference.value();
-    const NetworkSolution& b = result.value();
-    EXPECT_EQ(a.outer_iterations, b.outer_iterations);
-    EXPECT_EQ(a.inner_iterations, b.inner_iterations);
-    EXPECT_EQ(std::memcmp(&a.residual, &b.residual, sizeof(double)), 0);
-    ASSERT_EQ(a.cells.size(), b.cells.size());
-    for (std::size_t c = 0; c < a.cells.size(); ++c) {
-        EXPECT_EQ(std::memcmp(&a.cells[c], &b.cells[c], sizeof(core::Measures)), 0);
+        const NetworkSolution& a = reference.value();
+        const NetworkSolution& b = result.value();
+        EXPECT_EQ(a.outer_iterations, b.outer_iterations);
+        EXPECT_EQ(a.inner_iterations, b.inner_iterations);
+        EXPECT_EQ(std::memcmp(&a.residual, &b.residual, sizeof(double)), 0);
+        ASSERT_EQ(a.cells.size(), b.cells.size());
+        for (std::size_t c = 0; c < a.cells.size(); ++c) {
+            EXPECT_EQ(std::memcmp(&a.cells[c], &b.cells[c], sizeof(core::Measures)), 0);
+        }
+        EXPECT_EQ(std::memcmp(&a.aggregate, &b.aggregate, sizeof(core::Measures)), 0);
     }
-    EXPECT_EQ(std::memcmp(&a.aggregate, &b.aggregate, sizeof(core::Measures)), 0);
 }
 
 TEST(NetworkSymmetry, OuterIterationCapYieldsTypedNonConvergence) {

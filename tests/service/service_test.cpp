@@ -1,7 +1,7 @@
 // Unit coverage of the service building blocks: the frame codec, the
-// bounded SPSC ring, the rolling stats reservoir, and the shared warm
-// store's leader/follower/promotion protocol. The end-to-end behaviors
-// (typed rejections, byte-identity, saturation) live in
+// bounded SPSC ring, and the rolling stats reservoir. The shared warm
+// store is an eval::Memo (tests/eval/memo_test.cpp); the end-to-end
+// behaviors (typed rejections, byte-identity, saturation) live in
 // fault_injection_test.cpp and concurrency_test.cpp.
 #include <gtest/gtest.h>
 
@@ -9,11 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "eval/evaluator.hpp"
 #include "service/protocol.hpp"
 #include "service/ring.hpp"
 #include "service/stats.hpp"
-#include "service/warm_store.hpp"
 
 namespace gprsim::service {
 namespace {
@@ -113,118 +111,6 @@ TEST(Stats, CountsAndQuantiles) {
     const std::string json = snap.to_json();
     EXPECT_NE(json.find("\"hit_rate\""), std::string::npos);
     EXPECT_NE(json.find("\"p99_seconds\""), std::string::npos);
-}
-
-eval::GridOutcome one_point_outcome(double rate) {
-    eval::PointEvaluation point;
-    point.wall_seconds = rate;
-    return eval::GridOutcome(std::vector<eval::PointEvaluation>{point});
-}
-
-TEST(WarmStore, LeaderComputesFollowersCopy) {
-    WarmStore store(4);
-    bool hit = false;
-    WarmStore::Ticket leader = store.acquire("sig", hit);
-    EXPECT_FALSE(hit);
-    ASSERT_TRUE(leader.leader());
-
-    bool follower_hit = false;
-    WarmStore::Ticket follower = store.acquire("sig", follower_hit);
-    EXPECT_TRUE(follower_hit);  // join-in-flight counts as a hit
-    EXPECT_FALSE(follower.leader());
-
-    std::thread waiter([&follower] {
-        auto cached = follower.wait();
-        ASSERT_TRUE(cached.has_value());
-        ASSERT_TRUE(cached->ok());
-        EXPECT_DOUBLE_EQ(cached->value().front().wall_seconds, 1.5);
-    });
-    leader.publish(one_point_outcome(1.5));
-    waiter.join();
-    EXPECT_EQ(store.active_refs(), 2u);
-}
-
-TEST(WarmStore, AbandonPromotesExactlyOneWaiter) {
-    WarmStore store(4);
-    bool hit = false;
-    WarmStore::Ticket leader = store.acquire("sig", hit);
-    WarmStore::Ticket follower_a = store.acquire("sig", hit);
-    WarmStore::Ticket follower_b = store.acquire("sig", hit);
-
-    std::atomic<int> promoted{0};
-    std::atomic<int> served{0};
-    auto follow = [&promoted, &served](WarmStore::Ticket& ticket) {
-        auto cached = ticket.wait();
-        if (!cached.has_value()) {
-            // Promoted: now responsible for the slice.
-            ASSERT_TRUE(ticket.leader());
-            ++promoted;
-            ticket.publish(one_point_outcome(2.0));
-        } else {
-            ASSERT_TRUE(cached->ok());
-            ++served;
-        }
-    };
-    std::thread ta(follow, std::ref(follower_a));
-    std::thread tb(follow, std::ref(follower_b));
-    leader.abandon();
-    ta.join();
-    tb.join();
-    EXPECT_EQ(promoted.load(), 1);
-    EXPECT_EQ(served.load(), 1);
-}
-
-TEST(WarmStore, RefsDrainAndIdleEntriesEvict) {
-    WarmStore store(2);
-    for (int i = 0; i < 5; ++i) {
-        bool hit = false;
-        WarmStore::Ticket ticket = store.acquire("sig" + std::to_string(i), hit);
-        EXPECT_FALSE(hit);
-        ticket.publish(one_point_outcome(1.0));
-    }
-    EXPECT_EQ(store.active_refs(), 0u);
-    EXPECT_LE(store.entries(), 2u);
-
-    // The retained entries still serve hits.
-    bool hit = false;
-    WarmStore::Ticket ticket = store.acquire("sig4", hit);
-    EXPECT_TRUE(hit);
-    auto cached = ticket.wait();
-    ASSERT_TRUE(cached.has_value());
-    EXPECT_TRUE(cached->ok());
-}
-
-TEST(WarmStore, DroppedLeaderTicketAbandonsImplicitly) {
-    WarmStore store(4);
-    bool hit = false;
-    WarmStore::Ticket follower;
-    {
-        WarmStore::Ticket leader = store.acquire("sig", hit);
-        follower = store.acquire("sig", hit);
-        // Leader destroyed without publish: the follower must be promoted,
-        // not deadlocked.
-    }
-    auto cached = follower.wait();
-    EXPECT_FALSE(cached.has_value());
-    EXPECT_TRUE(follower.leader());
-}
-
-TEST(WarmStore, SignatureSeparatesEveryAxis) {
-    eval::ScenarioQuery query;
-    const std::vector<double> rates{0.5, 1.0};
-    const std::string base = slice_signature("ctmc", query, rates, true, 0);
-    EXPECT_NE(base, slice_signature("des", query, rates, true, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, {0.5}, true, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, rates, false, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, rates, true, 2));
-
-    eval::ScenarioQuery changed = query;
-    changed.simulation.seed = 7;
-    EXPECT_NE(base, slice_signature("ctmc", changed, rates, true, 0));
-    changed = query;
-    changed.parameters.gprs_fraction = 0.2;
-    EXPECT_NE(base, slice_signature("ctmc", changed, rates, true, 0));
-    EXPECT_EQ(base, slice_signature("ctmc", query, rates, true, 0));
 }
 
 }  // namespace
