@@ -86,10 +86,9 @@ inline void attach_solve_progress(campaign::CampaignOptions& options,
         std::make_shared<std::vector<campaign::Variant>>(spec.expand());
     options.solve_progress = [variants](std::size_t,
                                         const campaign::CampaignPoint& point) {
-        std::fprintf(stderr, "  [%s] rate %.2f: %lld sweeps, %.1fs%s\n",
+        std::fprintf(stderr, "  [%s] rate %.2f: %lld sweeps, %.1fs\n",
                      (*variants)[point.variant].label.c_str(), point.call_arrival_rate,
-                     point.iterations, point.solve_seconds,
-                     point.warm_parent >= 0 ? " (warm)" : "");
+                     point.iterations, point.solve_seconds);
     };
 }
 

@@ -5,7 +5,7 @@
 // Since the campaign refactor the whole figure is one declarative campaign
 // (campaigns/fig06_validation.json carries the same spec for the CLI):
 // method "both" runs, for every (GPRS fraction, arrival rate) point, one
-// warm-started chain solve plus R simulator replications, all claimed from
+// independent chain solve plus R simulator replications, all claimed from
 // one thread pool; the simulator columns are replication-level 95%
 // confidence intervals and the delta columns are the per-point model-minus-
 // simulator differences. Output is bitwise identical for every thread

@@ -7,8 +7,8 @@
 //
 // The three figures use the same six Markov-chain sweeps (~2.7 million
 // states per solve), declared as one campaign over the traffic-model and
-// reserved-PDCH axes: the runner claims all solves from one pool and
-// warm-starts each from its nearest solved grid neighbor.
+// reserved-PDCH axes: the runner claims all solves from one pool, each
+// solved independently from its own product-form start.
 //
 // Paper findings: CDT is nearly independent of the reservation and stays
 // around 0.6 PDCHs at 1 call/s (one PDCH suffices); more reserved PDCHs

@@ -4,9 +4,9 @@
 //
 // Since the campaign refactor the whole figure is ONE declarative campaign
 // (the reserved-PDCH axis times the arrival-rate grid) executed by
-// campaign::CampaignRunner: every chain solve is claimed from one pool and
-// warm-started from its nearest solved grid neighbor, and the tables below
-// index straight into the campaign's variant-major point order.
+// campaign::CampaignRunner: every chain solve is an independent task on one
+// pool, and the tables below index straight into the campaign's
+// variant-major point order.
 #pragma once
 
 #include <cstdio>

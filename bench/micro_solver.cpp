@@ -167,10 +167,10 @@ int main(int argc, char** argv) try {
         }
     }
 
-    // Multi-variant campaign: the merged cross-variant task set (every
-    // variant's bisection waves interleaved, DES replications backfilling
-    // idle solver threads). The record tracks wall time; the summary's
-    // wave counts show the merge against one grid per (backend, variant).
+    // Multi-variant campaign: the merged cross-variant task set (one
+    // independent task per chain point and per DES replication, all in one
+    // wave). The record tracks wall time; the summary's wave counts show
+    // the merge against one grid per (backend, variant).
     if (!run_campaign) {
         json.write(args.json.empty() ? "BENCH_solver.json" : args.json);
         return 0;

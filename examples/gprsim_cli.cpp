@@ -50,7 +50,6 @@
 //   --max-plp=<p> --max-delay=<s> --max-voice-blocking=<p>
 // campaign:
 //   --threads=<n>         task-sharding width (output is identical at any)
-//   --cold                disable warm-start caching (baseline comparison)
 //   --replications=<n>    override the spec's replication count
 //   --solver-method=<m>   override the spec's chain-solve iteration scheme
 //                         (auto or gauss_seidel, the same serial scheme)
@@ -315,13 +314,11 @@ int cmd_campaign(int argc, char** argv) {
 
     campaign::CampaignOptions options;
     options.num_threads = static_cast<int>(flag(argc, argv, "threads", 1));
-    options.force_cold = has_flag(argc, argv, "cold");
     options.solver_method_override = string_flag(argc, argv, "solver-method");
     if (!has_flag(argc, argv, "quiet")) {
         options.solve_progress = [](std::size_t flat, const campaign::CampaignPoint& p) {
-            std::fprintf(stderr, "  point %zu: rate %.3f, %lld sweeps%s\n", flat,
-                         p.call_arrival_rate, p.iterations,
-                         p.warm_parent >= 0 ? " (warm)" : "");
+            std::fprintf(stderr, "  point %zu: rate %.3f, %lld sweeps\n", flat,
+                         p.call_arrival_rate, p.iterations);
         };
     }
 

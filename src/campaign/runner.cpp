@@ -22,8 +22,6 @@ void synthesize_legacy_view(CampaignPoint& point) {
             point.iterations = evaluation.iterations;
             point.residual = evaluation.residual;
             point.solve_seconds = evaluation.wall_seconds;
-            point.warm_parent = evaluation.warm_parent;
-            point.warm_started = evaluation.warm_started;
         }
         if (evaluation.has_confidence && !point.has_sim) {
             point.has_sim = true;
@@ -47,9 +45,6 @@ CampaignWorkload build_campaign_workload(const ScenarioSpec& spec,
                                          const CampaignOptions& options) {
     CampaignWorkload workload;
     workload.effective = spec;
-    if (options.force_cold) {
-        workload.effective.solver.warm_start = false;
-    }
     if (!options.solver_method_override.empty()) {
         workload.effective.solver.method = options.solver_method_override;
     }
@@ -162,19 +157,11 @@ common::Result<CampaignResult> assemble_campaign(
     CampaignSummary& summary = result.summary;
     summary.variants = num_variants;
     summary.points = num_points;
-    bool any_chain = false;
     for (const CampaignPoint& point : result.points) {
         for (const eval::PointEvaluation& evaluation : point.evaluations) {
             if (evaluation.iterations > 0) {
-                any_chain = true;
                 ++summary.model_solves;
                 summary.total_iterations += evaluation.iterations;
-                if (evaluation.warm_parent >= 0) {
-                    ++summary.warm_offered_solves;
-                }
-                if (evaluation.warm_started) {
-                    ++summary.warm_started_solves;
-                }
             }
             if (evaluation.has_confidence) {
                 summary.sim_replications +=
@@ -183,7 +170,6 @@ common::Result<CampaignResult> assemble_campaign(
             }
         }
     }
-    summary.warm_start = any_chain && effective.solver.warm_start;
     result.variants = workload.variants;
     return result;
 }
@@ -201,7 +187,6 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec, const CampaignOptio
     eval::GridOptions grid;
     grid.num_threads = width;
     grid.pool = pool;
-    grid.warm_start = effective.solver.warm_start;
     if (options.solve_progress) {
         // Progress reports the flat batch index v * num_rates + r.
         grid.progress = [&options, num_rates](std::size_t flat,
@@ -215,18 +200,15 @@ CampaignResult CampaignRunner::run(const ScenarioSpec& spec, const CampaignOptio
             snapshot.iterations = evaluation.iterations;
             snapshot.residual = evaluation.residual;
             snapshot.solve_seconds = evaluation.wall_seconds;
-            snapshot.warm_parent = evaluation.warm_parent;
-            snapshot.warm_started = evaluation.warm_started;
             options.solve_progress(flat, snapshot);
         };
     }
 
     // Merged batch: every backend plans its (variant, rate[, replication])
     // work and eval::evaluate_campaign runs the union as one flat
-    // wave-ordered task set on the engine's pool — narrow warm-start waves
-    // of one variant interleave with other variants' wide waves and with
-    // DES replications. Each plan writes a disjoint slice of the point
-    // table, so output stays a pure function of the spec at every width.
+    // wave-ordered task set on the engine's pool. Each plan writes a
+    // disjoint slice of the point table, so output stays a pure function
+    // of the spec at every width.
     eval::CampaignRequest request;
     request.backends = effective.methods;
     request.queries = workload.queries;

@@ -6,17 +6,15 @@
 //        ^ expands variants x rate grid into one eval::CampaignRequest and
 //          calls the registry-level eval::evaluate_campaign (batch.hpp):
 //          every backend plans its grids (plan_grids) and the merged
-//          wave-ordered task set runs on the engine's shared pool, so one
-//          variant's narrow warm-start waves interleave with the other
-//          variants' wide waves and DES replications backfill idle solver
-//          threads; pairwise deltas and summaries are post-processed
-//          deterministically.
+//          wave-ordered task set runs on the engine's shared pool, so the
+//          chain solves, DES replications and network-fp iterations of
+//          every variant share one pool; pairwise deltas and summaries are
+//          post-processed deterministically.
 //   eval layer       eval::Evaluator / BackendRegistry / evaluate_campaign
-//        ^ backends keep their batch internals: the ctmc backend plans the
-//          deterministic bisection warm-start transfer schedule (deviation
-//          from the product form, adopted only when it undercuts half the
-//          cold start's residual — see eval/backends.cpp), the des backend
-//          plans (point, replication) tasks on disjoint substream blocks
+//        ^ backends keep their batch internals: the ctmc backend plans one
+//          independent task per grid point (each equal to its standalone
+//          evaluate()), the des backend plans (point, replication) tasks
+//          on disjoint substream blocks
 //   model/sim layer  core::GprsModel, sim::NetworkSimulator/replication
 //   consumers        bench/fig*, examples/gprsim_cli ("campaign" command),
 //                    out-of-tree code via find_package(gprsim)
@@ -41,15 +39,10 @@
 #include "campaign/spec.hpp"
 #include "core/measures.hpp"
 #include "ctmc/engine.hpp"
-#include "eval/backends.hpp"
+#include "eval/evaluator.hpp"
 #include "sim/experiment.hpp"
 
 namespace gprsim::campaign {
-
-// Grid-schedule vocabulary re-exported from the eval layer (the bisection
-// warm-start schedule moved into the ctmc backend with PR 4).
-using eval::bisection_schedule;
-using eval::SolveSchedule;
 
 /// Measures of the campaign's first backend (the delta reference) minus
 /// one other backend; all zero for the first backend itself.
@@ -81,12 +74,6 @@ struct CampaignPoint {
     long long iterations = 0;
     double residual = 0.0;
     double solve_seconds = 0.0;
-    /// Grid index whose deviation vector was offered as a warm-start
-    /// candidate; -1 = root (product form only).
-    int warm_parent = -1;
-    /// Whether the transferred candidate beat the plain product form in
-    /// the engine's residual comparison (always false for roots).
-    bool warm_started = false;
 
     bool has_sim = false;  ///< sim columns valid
     sim::ExperimentResults sim;
@@ -102,9 +89,6 @@ struct CampaignOptions {
     /// Execution width for sharding tasks across the engine's pool:
     /// 0 = all hardware threads, <= 1 = serial. Never changes any output.
     int num_threads = 1;
-    /// Overrides ScenarioSpec::SolverSpec::warm_start with false (the
-    /// cold-start baseline the summary is compared against).
-    bool force_cold = false;
     /// Non-empty: overrides ScenarioSpec::SolverSpec::method for every
     /// chain solve of the run ("gauss_seidel" or "auto"). The knob behind
     /// the CLI's --solver-method flag; any other spelling fails spec
@@ -119,13 +103,10 @@ struct CampaignSummary {
     std::size_t variants = 0;
     std::size_t points = 0;
     std::size_t model_solves = 0;
-    /// Solves that were offered a transferred deviation candidate, and the
-    /// subset where it won the residual comparison.
+    /// Always 0; kept only because perfbench reads them.
     std::size_t warm_offered_solves = 0;
     std::size_t warm_started_solves = 0;
-    bool warm_start = false;
-    /// Summed chain-solve iterations — the number to compare between a
-    /// warm-started run and a force_cold run of the same spec.
+    /// Summed chain-solve iterations.
     long long total_iterations = 0;
     long long sim_replications = 0;
     std::uint64_t sim_events = 0;
@@ -183,7 +164,7 @@ struct CampaignWorkload {
     }
 };
 
-/// Applies force_cold / solver_method_override and expands the spec.
+/// Applies solver_method_override and expands the spec.
 /// Throws SpecError on an invalid spec (same contract as expand()).
 CampaignWorkload build_campaign_workload(const ScenarioSpec& spec,
                                          const CampaignOptions& options = {});

@@ -56,7 +56,7 @@ const char* const kCsvColumns[] = {
     "coding_scheme", "max_gprs_sessions", "call_arrival_rate",
     "model_cdt", "model_plp", "model_qd", "model_atu", "model_mql", "model_cvt",
     "model_ags", "model_gsm_blocking", "model_gprs_blocking",
-    "iterations", "residual", "warm_parent", "warm_started",
+    "iterations", "residual",
     "sim_cdt", "sim_cdt_hw", "sim_plp", "sim_plp_hw", "sim_qd", "sim_qd_hw",
     "sim_atu", "sim_atu_hw", "sim_cvt", "sim_cvt_hw", "sim_gsm_blocking",
     "sim_gsm_blocking_hw", "sim_gprs_blocking", "sim_gprs_blocking_hw",
@@ -69,7 +69,7 @@ const char* const kCsvColumns[] = {
 /// backend, "delta_<measure>:<method>" = methods.front() minus <method>,
 /// plus — only for network campaigns — the network axis columns and the
 /// aggregated routing-area-update rate. Single-cell single-method
-/// campaigns keep the exact 42-column legacy table.
+/// campaigns keep the exact 40-column legacy table.
 std::vector<std::string> csv_columns(const CampaignResult& result) {
     std::vector<std::string> columns(std::begin(kCsvColumns), std::end(kCsvColumns));
     if (result.methods.size() > 1) {
@@ -115,10 +115,8 @@ std::vector<std::string> point_cells(const CampaignResult& result,
         cells.push_back(number_cell(point.model.gprs_blocking));
         cells.push_back(std::to_string(point.iterations));
         cells.push_back(number_cell(point.residual));
-        cells.push_back(std::to_string(point.warm_parent));
-        cells.push_back(point.warm_started ? "1" : "0");
     } else {
-        cells.insert(cells.end(), 13, std::string());
+        cells.insert(cells.end(), 11, std::string());
     }
     if (point.has_sim) {
         const auto estimate = [&](const sim::MetricEstimate& e) {
@@ -203,9 +201,6 @@ void write_campaign_json(const CampaignResult& result, std::ostream& out) {
     }
     out << "],\n  \"summary\": {\"variants\": " << s.variants
         << ", \"points\": " << s.points << ", \"model_solves\": " << s.model_solves
-        << ", \"warm_offered_solves\": " << s.warm_offered_solves
-        << ", \"warm_started_solves\": " << s.warm_started_solves
-        << ", \"warm_start\": " << (s.warm_start ? "true" : "false")
         << ", \"total_iterations\": " << s.total_iterations
         << ", \"sim_replications\": " << s.sim_replications
         << ", \"sim_events\": " << s.sim_events
@@ -342,11 +337,8 @@ void print_campaign_summary(const CampaignResult& result, std::FILE* out) {
                  result.name.c_str(), methods.c_str(), s.variants, result.rates.size(),
                  s.points);
     if (s.model_solves > 0) {
-        std::fprintf(out,
-                     "  chain solves: %zu (%zu of %zu offered transfers warm-started, "
-                     "warm start %s), total solver iterations: %lld\n",
-                     s.model_solves, s.warm_started_solves, s.warm_offered_solves,
-                     s.warm_start ? "on" : "off", s.total_iterations);
+        std::fprintf(out, "  chain solves: %zu, total solver iterations: %lld\n",
+                     s.model_solves, s.total_iterations);
     }
     if (s.sim_replications > 0) {
         std::fprintf(out, "  simulator replications: %lld (%.2e events)\n",

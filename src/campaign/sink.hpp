@@ -26,7 +26,7 @@ namespace gprsim::campaign {
 ///   coding_scheme, max_gprs_sessions, call_arrival_rate,
 ///   model_cdt, model_plp, model_qd, model_atu, model_mql, model_cvt,
 ///   model_ags, model_gsm_blocking, model_gprs_blocking,
-///   iterations, residual, warm_parent, warm_started,
+///   iterations, residual,
 ///   sim_cdt, sim_cdt_hw, sim_plp, sim_plp_hw, sim_qd, sim_qd_hw,
 ///   sim_atu, sim_atu_hw, sim_cvt, sim_cvt_hw, sim_gsm_blocking,
 ///   sim_gsm_blocking_hw, sim_gprs_blocking, sim_gprs_blocking_hw,
@@ -64,9 +64,8 @@ struct CsvTable {
 /// Throws std::runtime_error on ragged rows.
 CsvTable read_csv(std::istream& in);
 
-/// The campaign summary block: points, solves, warm-start share, total
-/// solver iterations (the warm-vs-cold comparison number), replications,
-/// events, wall clock, threads.
+/// The campaign summary block: points, solves, total solver iterations,
+/// replications, events, wall clock, threads.
 void print_campaign_summary(const CampaignResult& result, std::FILE* out);
 
 }  // namespace gprsim::campaign

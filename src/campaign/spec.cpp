@@ -229,6 +229,7 @@ SolverSpec parse_solver(const JsonValue& value) {
         if (key == "tolerance") {
             solver.tolerance = v.as_number();
         } else if (key == "warm_start") {
+            // Accepted (type-checked) for older specs; has no effect.
             solver.warm_start = v.as_bool();
         } else if (key == "method") {
             solver.method = v.as_string();
@@ -400,11 +401,6 @@ ScenarioSpec& ScenarioSpec::with_rates(std::vector<double> values) {
 
 ScenarioSpec& ScenarioSpec::with_tolerance(double value) {
     solver.tolerance = value;
-    return *this;
-}
-
-ScenarioSpec& ScenarioSpec::with_warm_start(bool value) {
-    solver.warm_start = value;
     return *this;
 }
 

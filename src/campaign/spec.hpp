@@ -40,9 +40,8 @@ private:
 /// Chain-solve settings shared by every model point of the campaign.
 struct SolverSpec {
     double tolerance = 1e-9;
-    /// Warm-start each point from its already-solved nearest grid neighbor
-    /// (runner.hpp describes the deterministic schedule). false = every
-    /// point starts cold from the product-form guess.
+    /// No effect (every point solves from its own product-form guess);
+    /// kept only because perfbench reads it.
     bool warm_start = true;
     /// Iteration scheme for the chain solves: "gauss_seidel" or its second
     /// spelling "auto" (the default). Any other spelling is a SpecError.
@@ -169,7 +168,6 @@ struct ScenarioSpec {
     ScenarioSpec& with_rate_grid(double first, double last, int count);
     ScenarioSpec& with_rates(std::vector<double> values);
     ScenarioSpec& with_tolerance(double value);
-    ScenarioSpec& with_warm_start(bool value);
     /// Iteration scheme (SolverSpec::method): "auto" or "gauss_seidel".
     ScenarioSpec& with_solver_method(std::string value);
     ScenarioSpec& with_replications(int value);
@@ -220,7 +218,8 @@ struct ScenarioSpec {
 ///   "channels"           int        "buffer"   int
 ///   "eta"                number     "bler"     number
 ///   "rates"              array of numbers, or {"first","last","count"}
-///   "solver"             {"tolerance", "warm_start", "method"}
+///   "solver"             {"tolerance", "warm_start", "method"};
+///                        "warm_start" must be a boolean and has no effect
 ///   "simulation"         {"replications","seed","warmup","batch_count",
 ///                         "batch_duration","tcp"}
 ///   "approx"             {"fp_tolerance","fp_damping","fp_max_iterations",

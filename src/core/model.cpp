@@ -54,12 +54,9 @@ common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_s
     };
     ctmc::SolveResult result;
     try {
-        if (options.initial.empty() && options.initial_candidates.empty()) {
+        if (options.initial.empty()) {
             // Warm-start from the closed-form product approximation;
             // typically several times fewer sweeps than a uniform start.
-            // Callers supplying initial_candidates (the campaign runner) add
-            // it themselves — and those candidate vectors are
-            // state-space-sized, so the options are only copied here.
             ctmc::SolveOptions effective = options;
             effective.initial = product_form_initial(parameters_, balanced_, space());
             result = run(effective);

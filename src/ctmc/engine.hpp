@@ -86,10 +86,6 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
         static_cast<index_type>(options.initial.size()) != n) {
         throw std::invalid_argument("solve_steady_state: initial vector size mismatch");
     }
-    if (!options.initial_candidates.empty() && !options.initial.empty()) {
-        throw std::invalid_argument(
-            "solve_steady_state: initial and initial_candidates are mutually exclusive");
-    }
     if (options.check_interval <= 0) {
         throw std::invalid_argument("solve_steady_state: check_interval must be positive");
     }
@@ -107,9 +103,6 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
             if (!inner.initial.empty()) {
                 inner.initial = permute_vector(inner.initial, options.permutation);
             }
-            for (std::vector<double>& cand : inner.initial_candidates) {
-                cand = permute_vector(cand, options.permutation);
-            }
             SolveResult res = solve(reordered, inner);
             res.distribution =
                 inverse_permute_vector(res.distribution, options.permutation);
@@ -126,45 +119,15 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
     SolveResult result;
     const double lambda = detail::max_exit_rate(op);
 
-    const auto prepared_initial = [&](const std::vector<double>& raw) {
-        std::vector<double> x = raw;
-        for (double& v : x) {
+    if (options.initial.empty()) {
+        result.distribution.assign(static_cast<std::size_t>(n),
+                                   1.0 / static_cast<double>(n));
+    } else {
+        result.distribution = options.initial;
+        for (double& v : result.distribution) {
             v = std::max(v, 0.0);
         }
-        detail::normalize(x);
-        return x;
-    };
-    result.distribution.assign(static_cast<std::size_t>(n), 1.0 / static_cast<double>(n));
-    if (!options.initial.empty()) {
-        result.distribution = prepared_initial(options.initial);
-    } else if (!options.initial_candidates.empty()) {
-        // Competitive warm starts: one residual evaluation per candidate
-        // (an O(nnz) pass, far cheaper than the sweeps a bad start costs),
-        // then iterate from the winner. A later candidate only displaces
-        // the incumbent when it undercuts margin * incumbent — see the
-        // candidate_margin documentation for why near-ties go to the
-        // earlier (preferred) candidate.
-        if (options.candidate_margin <= 0.0 || options.candidate_margin > 1.0) {
-            throw std::invalid_argument(
-                "solve_steady_state: candidate_margin must be in (0, 1]");
-        }
-        double incumbent_residual = 0.0;
-        for (std::size_t c = 0; c < options.initial_candidates.size(); ++c) {
-            const std::vector<double>& raw = options.initial_candidates[c];
-            if (static_cast<index_type>(raw.size()) != n) {
-                throw std::invalid_argument(
-                    "solve_steady_state: initial candidate size mismatch");
-            }
-            std::vector<double> x = prepared_initial(raw);
-            const double residual = detail::scaled_residual(op, x, lambda);
-            ++result.residual_evaluations;
-            if (result.initial_selected < 0 ||
-                residual < options.candidate_margin * incumbent_residual) {
-                incumbent_residual = residual;
-                result.initial_selected = static_cast<int>(c);
-                result.distribution = std::move(x);
-            }
-        }
+        detail::normalize(result.distribution);
     }
     std::vector<double>& x = result.distribution;
 

@@ -145,7 +145,7 @@ struct SolveOptions {
     bool adaptive_checks = true;
     /// Row ordering applied to the solve (order[new] = old; empty = keep
     /// the operator's ordering). Only supported for explicit QtMatrix
-    /// operators: the engine permutes the matrix and the initial vectors,
+    /// operators: the engine permutes the matrix and the initial vector,
     /// sweeps the reordered system, and inverse-applies the permutation to
     /// the returned distribution, so callers never see internal indices.
     /// An identity permutation is detected and skipped (the GPRS
@@ -160,22 +160,6 @@ struct SolveOptions {
     /// Warm start; empty means the uniform distribution. Non-negative,
     /// renormalized internally.
     std::vector<double> initial;
-    /// Competing warm starts, in preference order: when non-empty the
-    /// engine evaluates the scaled residual of every candidate (one O(nnz)
-    /// pass each, no iterations consumed) and starts from the winner;
-    /// SolveResult::initial_selected reports the choice. Mutually
-    /// exclusive with `initial`.
-    std::vector<std::vector<double>> initial_candidates;
-    /// Preference margin for the candidate comparison: a later candidate
-    /// replaces the incumbent only when its residual is strictly below
-    /// margin * incumbent residual. 1.0 is a plain argmin with ties to the
-    /// earlier candidate; smaller values demand a decisive advantage —
-    /// the initial residual is only a proxy for iterations-to-converge,
-    /// and near-ties routinely mispredict (measured on the paper's Fig. 6
-    /// cell: a transfer candidate at 0.92x the product form's residual
-    /// cost 2x the sweeps, while every candidate below 0.5x converged
-    /// faster). Must be in (0, 1].
-    double candidate_margin = 1.0;
     /// Optional progress callback: (sweeps done, current residual).
     std::function<void(index_type, double)> progress;
 };
@@ -186,9 +170,6 @@ struct SolveResult {
     double residual = 0.0;
     bool converged = false;
     double seconds = 0.0;
-    /// Index of the winning SolveOptions::initial_candidates entry;
-    /// -1 when no candidate list was supplied.
-    int initial_selected = -1;
     /// Number of scaled-residual evaluations the solve performed (each is
     /// an O(nnz) pass; adaptive_checks exists to shrink this).
     index_type residual_evaluations = 0;

@@ -1,12 +1,15 @@
 // Shared scaffolding of the built-in backend implementations: the guarded
 // evaluate fence, grid validation, the per-query probe/error-slot protocol
-// of the batch planners, and the wave-poisoning marker. Internal to
-// src/eval/ — the public surface is evaluator.hpp/backends.hpp.
+// of the batch planners, and the two grid bases — PlannedEvaluator (grid
+// entry points that execute the backend's own plan) and PointwiseEvaluator
+// (one independent task per grid point). Internal to src/eval/ and
+// src/network/ — the public surface is evaluator.hpp/backends.hpp.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -101,27 +104,6 @@ inline const common::EvalError* first_error(
     return nullptr;
 }
 
-/// Lowers the "failure at wave w" marker; tasks of LATER waves skip (their
-/// warm-start parent chain is broken), same-wave tasks still run — so the
-/// set of recorded errors, and hence the error collect() reports, is
-/// identical at every thread count.
-inline void poison(std::atomic<long long>& poisoned_wave, long long wave) {
-    long long current = poisoned_wave.load(std::memory_order_relaxed);
-    while (wave < current &&
-           !poisoned_wave.compare_exchange_weak(current, wave,
-                                                std::memory_order_acq_rel)) {
-    }
-}
-
-/// Executes a single backend's plan on options.pool and collects it — the
-/// shape of the single-backend evaluate_grids overrides (the multi-backend
-/// merge lives in eval::evaluate_campaign).
-inline std::vector<GridOutcome> execute_single_plan(GridPlan plan,
-                                                    const GridOptions& options) {
-    execute_plans(std::span<GridPlan>(&plan, 1), options);
-    return plan.collect();
-}
-
 /// Uncaught-exception fence: every backend body runs inside this so the
 /// "no exception crosses the eval boundary" contract survives bugs in the
 /// layers below (and bad_alloc on huge chains).
@@ -139,5 +121,101 @@ common::Result<PointEvaluation> guarded(const ScenarioQuery& query, F&& body) {
                 scenario_context(query.parameters, query.call_arrival_rate) + "]"};
     }
 }
+
+/// Base of backends that implement plan_grids: the single-grid call is the
+/// one-query batch, and the batch executes the backend's own plan on
+/// options.pool (the multi-backend merge lives in eval::evaluate_campaign).
+class PlannedEvaluator : public Evaluator {
+public:
+    common::Result<std::vector<PointEvaluation>> evaluate_grid(
+        const ScenarioQuery& base, std::span<const double> rates,
+        const GridOptions& options) override {
+        std::vector<GridOutcome> outcomes =
+            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
+        return std::move(outcomes.front());
+    }
+
+    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
+                                            std::span<const double> rates,
+                                            const GridOptions& options) override {
+        GridPlan plan = plan_grids(queries, rates, options);
+        execute_plans(std::span<GridPlan>(&plan, 1), options);
+        return plan.collect();
+    }
+};
+
+/// Base of backends whose grid points are independent of each other (ctmc,
+/// fixed-point, fluid): one dependency-free wave-0 task per (query, point)
+/// calling evaluate (which never throws), first-error-in-grid-order
+/// collection, progress reported under the batch-wide lock at the flat
+/// index q * rates.size() + i. Every grid point therefore equals its
+/// standalone evaluate() bitwise, at any thread count.
+class PointwiseEvaluator : public PlannedEvaluator {
+public:
+    GridPlan plan_grids(std::span<const ScenarioQuery> queries,
+                        std::span<const double> rates,
+                        const GridOptions& options) override {
+        if (common::Status g = check_grid(rates); !g.ok()) {
+            return failed_plan(queries.size(), g.error());
+        }
+
+        struct State {
+            std::vector<ScenarioQuery> base;
+            std::vector<std::vector<PointEvaluation>> points;  ///< [q][i]
+            std::vector<std::vector<std::unique_ptr<common::EvalError>>> errors;
+            std::vector<double> rates;
+            std::mutex progress_mutex;
+        };
+        const std::size_t nq = queries.size();
+        const std::size_t n = rates.size();
+        auto state = std::make_shared<State>();
+        state->base.assign(queries.begin(), queries.end());
+        state->points.assign(nq, std::vector<PointEvaluation>(n));
+        state->errors.resize(nq);
+        state->rates.assign(rates.begin(), rates.end());
+        const std::vector<bool> planned = probe_queries(queries, rates, state->errors);
+
+        GridPlan plan;
+        for (std::size_t q = 0; q < nq; ++q) {
+            if (!planned[q]) {
+                continue;
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                plan.tasks.push_back(
+                    {0, [this, state, q, i, progress = options.progress] {
+                         ScenarioQuery query = state->base[q];
+                         query.call_arrival_rate = state->rates[i];
+                         common::Result<PointEvaluation> point = evaluate(query);
+                         if (!point.ok()) {
+                             state->errors[q][i] =
+                                 std::make_unique<common::EvalError>(point.error());
+                             return;
+                         }
+                         state->points[q][i] = point.take();
+                         if (progress) {
+                             std::lock_guard<std::mutex> lock(state->progress_mutex);
+                             progress(q * state->rates.size() + i, state->points[q][i]);
+                         }
+                     }});
+            }
+        }
+        plan.collect = [state, nq] {
+            std::vector<GridOutcome> outcomes;
+            outcomes.reserve(nq);
+            for (std::size_t q = 0; q < nq; ++q) {
+                if (const common::EvalError* failed = first_error(state->errors[q])) {
+                    outcomes.push_back(*failed);
+                } else {
+                    outcomes.push_back(std::move(state->points[q]));
+                }
+            }
+            return outcomes;
+        };
+        plan.waves = plan.tasks.empty() ? 0 : 1;
+        plan.sequential_waves =
+            static_cast<std::size_t>(std::count(planned.begin(), planned.end(), true));
+        return plan;
+    }
+};
 
 }  // namespace gprsim::eval::detail

@@ -1,17 +1,12 @@
 #include "eval/backends.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <climits>
 #include <cmath>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <utility>
 
 #include "core/handover.hpp"
-#include "core/initial_guess.hpp"
 #include "core/model.hpp"
 #include "eval/backend_util.hpp"
 #include "eval/batch.hpp"
@@ -20,122 +15,17 @@
 
 namespace gprsim::eval {
 
-SolveSchedule bisection_schedule(std::size_t count, bool warm_start) {
-    SolveSchedule schedule;
-    schedule.parent.assign(count, -1);
-    if (count == 0) {
-        return schedule;
-    }
-    if (!warm_start) {
-        // Cold start: no dependencies, every point in one maximal wave.
-        std::vector<int> all(count);
-        std::iota(all.begin(), all.end(), 0);
-        schedule.levels.push_back(std::move(all));
-        return schedule;
-    }
-    schedule.levels.push_back({0});
-    if (count == 1) {
-        return schedule;
-    }
-    const int last = static_cast<int>(count) - 1;
-    schedule.parent[static_cast<std::size_t>(last)] = 0;
-    schedule.levels.push_back({last});
-    std::vector<std::pair<int, int>> segments{{0, last}};
-    while (!segments.empty()) {
-        std::vector<int> level;
-        std::vector<std::pair<int, int>> next;
-        for (const auto& [a, b] : segments) {
-            if (b - a <= 1) {
-                continue;
-            }
-            const int mid = a + (b - a) / 2;
-            // Nearest solved endpoint: the floor midpoint is never closer
-            // to b, so the lower endpoint always wins ("ties down").
-            schedule.parent[static_cast<std::size_t>(mid)] = a;
-            level.push_back(mid);
-            next.emplace_back(a, mid);
-            next.emplace_back(mid, b);
-        }
-        if (!level.empty()) {
-            schedule.levels.push_back(std::move(level));
-        }
-        segments = std::move(next);
-    }
-    return schedule;
-}
-
 namespace {
 
 using common::EvalError;
 using common::EvalErrorCode;
-// Grid scaffolding shared with the large-population backends
-// (eval/backend_util.hpp); only the warm-start cache stays local.
+// Grid scaffolding shared with the other backends (eval/backend_util.hpp).
 using detail::WallClock;
 using detail::check_grid;
-using detail::execute_single_plan;
 using detail::failed_plan;
 using detail::first_error;
 using detail::guarded;
-using detail::poison;
 using detail::probe_queries;
-
-/// Deviation vectors (solved distribution / own product form, elementwise)
-/// awaiting their warm-start dependents, one slot per grid index. A slot is
-/// only populated when the schedule has at least one dependent for it, each
-/// dependent copies the vector exactly once (claim), and the claim that
-/// consumes the last reference frees the slot — so peak memory follows the
-/// bisection frontier, not the grid. Thread-safety: stores and claims of
-/// one slot never overlap (the wave barrier separates a point's solve from
-/// its children's solves); claims of one slot from several same-wave
-/// children only race on the atomic reference count, and every copy is
-/// sequenced before its own decrement.
-class WarmStartCache {
-public:
-    WarmStartCache(std::size_t grid, const std::vector<int>& parent)
-        : slots_(grid), remaining_(grid), children_(grid, 0) {
-        for (const int p : parent) {
-            if (p >= 0) {
-                ++children_[static_cast<std::size_t>(p)];
-            }
-        }
-        for (std::size_t i = 0; i < grid; ++i) {
-            remaining_[i].store(children_[i], std::memory_order_relaxed);
-        }
-    }
-
-    /// Whether the schedule has any dependent for this grid index (callers
-    /// skip building the deviation vector otherwise).
-    bool has_dependents(std::size_t index) const { return children_[index] > 0; }
-
-    /// Keeps the deviation vector iff some later point claims it.
-    void store(std::size_t index, std::vector<double> deviation) {
-        if (children_[index] > 0) {
-            slots_[index] = std::move(deviation);
-        }
-    }
-
-    /// Returns the parent's deviation and releases one claim. A count of 1
-    /// means every other claimant has already decremented, so this claimant
-    /// owns the slot exclusively and can move the vector out instead of
-    /// copying (a ~2x peak-memory saving on multi-million-state chains).
-    std::vector<double> claim(std::size_t parent_index) {
-        if (remaining_[parent_index].load(std::memory_order_acquire) == 1) {
-            std::vector<double> last = std::move(slots_[parent_index]);
-            remaining_[parent_index].store(0, std::memory_order_release);
-            return last;
-        }
-        std::vector<double> copy = slots_[parent_index];
-        if (remaining_[parent_index].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            std::vector<double>().swap(slots_[parent_index]);
-        }
-        return copy;
-    }
-
-private:
-    std::vector<std::vector<double>> slots_;
-    std::vector<std::atomic<int>> remaining_;
-    std::vector<int> children_;  ///< dependents per grid index
-};
 
 // --- erlang ---------------------------------------------------------------
 
@@ -168,7 +58,7 @@ public:
 
 // --- ctmc -----------------------------------------------------------------
 
-class CtmcEvaluator final : public Evaluator {
+class CtmcEvaluator final : public detail::PointwiseEvaluator {
 public:
     const std::string& name() const override {
         static const std::string n = "ctmc";
@@ -176,8 +66,8 @@ public:
     }
     const std::string& description() const override {
         static const std::string d =
-            "stationary solve of the full Markov chain (Table 1) with product-form "
-            "warm starts; exact model measures";
+            "stationary solve of the full Markov chain (Table 1) from the "
+            "product-form start; exact model measures";
         return d;
     }
 
@@ -207,191 +97,6 @@ public:
             return point;
         });
     }
-
-    /// Single-grid evaluation is the one-query batch: same schedule, same
-    /// candidates, same first-error-in-grid-order result.
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return execute_single_plan(plan_grids(queries, rates, options), options);
-    }
-
-    /// Grid planning with the deterministic bisection warm-start transfer:
-    /// the solved/product-form deviation of each parent point is grafted
-    /// onto its dependents' product form and offered to the engine as a
-    /// competing initial (adopted only when it undercuts HALF the product
-    /// form's initial residual — near-ties mispredict the iteration
-    /// count). Per-point solves run single-threaded (the points are the
-    /// parallelism); every query shares one wave structure (the schedule
-    /// depends only on the grid size), so level-L points of ALL queries
-    /// carry wave L and solve concurrently under the executor. Output is
-    /// bitwise invariant to num_threads and to merging.
-    GridPlan plan_grids(std::span<const ScenarioQuery> queries,
-                        std::span<const double> rates,
-                        const GridOptions& options) override {
-        if (common::Status g = check_grid(rates); !g.ok()) {
-            return failed_plan(queries.size(), g.error());
-        }
-
-        struct State {
-            std::vector<ScenarioQuery> base;                     ///< per query
-            std::vector<std::vector<PointEvaluation>> points;    ///< [q][i]
-            std::vector<std::vector<std::unique_ptr<EvalError>>> errors;
-            std::vector<std::unique_ptr<WarmStartCache>> caches;
-            /// Wave of query q's first failure; later-wave tasks of q skip.
-            std::vector<std::atomic<long long>> poisoned;
-            std::vector<double> rates;
-            SolveSchedule schedule;
-            std::mutex progress_mutex;
-        };
-        const std::size_t nq = queries.size();
-        const std::size_t n = rates.size();
-        auto state = std::make_shared<State>();
-        state->base.assign(queries.begin(), queries.end());
-        state->points.assign(nq, std::vector<PointEvaluation>(n));
-        state->errors.resize(nq);
-        state->rates.assign(rates.begin(), rates.end());
-        state->schedule = bisection_schedule(n, options.warm_start);
-        std::vector<std::atomic<long long>> poisoned(nq);
-        state->poisoned = std::move(poisoned);
-        for (std::size_t q = 0; q < nq; ++q) {
-            state->poisoned[q].store(LLONG_MAX, std::memory_order_relaxed);
-        }
-        // A failing probe only disables ITS query; no tasks are emitted
-        // for it and the other slots plan normally.
-        const std::vector<bool> planned = probe_queries(queries, rates, state->errors);
-        state->caches.resize(nq);
-        for (std::size_t q = 0; q < nq; ++q) {
-            if (planned[q]) {
-                state->caches[q] =
-                    std::make_unique<WarmStartCache>(n, state->schedule.parent);
-            }
-        }
-
-        const auto solve_point = [this, state, progress = options.progress](
-                                     std::size_t q, int index, std::size_t wave) {
-            if (state->poisoned[q].load(std::memory_order_acquire) <
-                static_cast<long long>(wave)) {
-                return;  // a parent wave of this query already failed
-            }
-            const ScenarioQuery& base = state->base[q];
-            WarmStartCache& cache = *state->caches[q];
-            try {
-                core::Parameters p = base.parameters;
-                p.call_arrival_rate = state->rates[static_cast<std::size_t>(index)];
-                core::GprsModel model(p);
-                const std::vector<double> product =
-                    core::product_form_initial(p, model.balanced(), model.space());
-                ctmc::SolveOptions solve;
-                solve.tolerance = base.solver.tolerance;
-                solve.max_iterations = base.solver.max_iterations;
-                // Probed by validated().
-                solve.method = *ctmc::method_from_name(base.solver.method);
-                const int parent =
-                    state->schedule.parent[static_cast<std::size_t>(index)];
-                if (parent >= 0) {
-                    // Candidate 0 (preferred): the plain product form;
-                    // candidate 1: the target's product form carrying the
-                    // parent's deviation.
-                    std::vector<double> transferred =
-                        cache.claim(static_cast<std::size_t>(parent));
-                    for (std::size_t s = 0; s < transferred.size(); ++s) {
-                        transferred[s] *= product[s];
-                    }
-                    solve.initial_candidates.push_back(product);
-                    solve.initial_candidates.push_back(std::move(transferred));
-                    solve.candidate_margin = 0.5;
-                }
-                auto solved = model.try_solve(solve, ctmc::default_engine());
-                if (!solved.ok()) {
-                    state->errors[q][static_cast<std::size_t>(index)] =
-                        std::make_unique<EvalError>(solved.error());
-                    poison(state->poisoned[q], static_cast<long long>(wave));
-                    return;
-                }
-                const ctmc::SolveResult& result = solved.value().get();
-                if (cache.has_dependents(static_cast<std::size_t>(index))) {
-                    std::vector<double> deviation(result.distribution.size());
-                    for (std::size_t s = 0; s < deviation.size(); ++s) {
-                        deviation[s] = product[s] > 0.0
-                                           ? result.distribution[s] / product[s]
-                                           : 0.0;
-                    }
-                    cache.store(static_cast<std::size_t>(index), std::move(deviation));
-                }
-                PointEvaluation& point =
-                    state->points[q][static_cast<std::size_t>(index)];
-                point.backend = name();
-                point.call_arrival_rate =
-                    state->rates[static_cast<std::size_t>(index)];
-                point.measures = core::compute_measures(p, model.balanced(),
-                                                        model.space(),
-                                                        result.distribution);
-                point.iterations = static_cast<long long>(result.iterations);
-                point.residual = result.residual;
-                point.solver_method = ctmc::method_name(solve.method);
-                point.warm_parent = parent;
-                point.warm_started = result.initial_selected == 1;
-                point.wall_seconds = result.seconds;
-                if (progress) {
-                    std::lock_guard<std::mutex> lock(state->progress_mutex);
-                    progress(q * state->rates.size() +
-                                 static_cast<std::size_t>(index),
-                             point);
-                }
-            } catch (const std::exception& e) {
-                state->errors[q][static_cast<std::size_t>(index)] =
-                    std::make_unique<EvalError>(EvalError{
-                        EvalErrorCode::internal,
-                        std::string(e.what()) + " [" +
-                            scenario_context(
-                                base.parameters,
-                                state->rates[static_cast<std::size_t>(index)]) +
-                            "]"});
-                poison(state->poisoned[q], static_cast<long long>(wave));
-            }
-        };
-
-        GridPlan plan;
-        for (std::size_t level = 0; level < state->schedule.levels.size(); ++level) {
-            for (std::size_t q = 0; q < nq; ++q) {
-                if (!planned[q]) {
-                    continue;
-                }
-                for (const int index : state->schedule.levels[level]) {
-                    plan.tasks.push_back(
-                        {level, [solve_point, q, index, level] {
-                             solve_point(q, index, level);
-                         }});
-                }
-            }
-        }
-        plan.collect = [state, nq] {
-            std::vector<GridOutcome> outcomes;
-            outcomes.reserve(nq);
-            for (std::size_t q = 0; q < nq; ++q) {
-                if (const EvalError* failed = first_error(state->errors[q])) {
-                    outcomes.push_back(*failed);
-                } else {
-                    outcomes.push_back(std::move(state->points[q]));
-                }
-            }
-            return outcomes;
-        };
-        plan.waves = plan.tasks.empty() ? 0 : state->schedule.levels.size();
-        plan.sequential_waves = state->schedule.levels.size() *
-                                static_cast<std::size_t>(
-                                    std::count(planned.begin(), planned.end(), true));
-        return plan;
-    }
 };
 
 // --- des ------------------------------------------------------------------
@@ -415,7 +120,7 @@ core::Measures measures_from_sim(const sim::ExperimentResults& r,
     return m;
 }
 
-class DesEvaluator final : public Evaluator {
+class DesEvaluator final : public detail::PlannedEvaluator {
 public:
     const std::string& name() const override {
         static const std::string n = "des";
@@ -446,21 +151,6 @@ public:
             point.wall_seconds = clock.seconds();
             return point;
         });
-    }
-
-    /// Single-grid evaluation is the one-query batch.
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return execute_single_plan(plan_grids(queries, rates, options), options);
     }
 
     /// Grid planning with the experiment engine's substream discipline:

@@ -1,20 +1,17 @@
-// Built-in evaluation backends and the grid-scheduling vocabulary they
-// share. Eight backends self-register in BackendRegistry::global():
+// Built-in evaluation backends. Eight backends self-register in
+// BackendRegistry::global():
 //
 //   erlang       closed-form Erlang populations and blocking (Eq. 2-7);
 //                microseconds per point, no chain state
-//   ctmc         stationary solve of the full Markov chain (Table 1);
-//                plan_grids/evaluate_grid(s) keep the deterministic
-//                bisection warm-start transfer schedule that used to live
-//                in the campaign runner, with every variant of a batch
-//                sharing one wave structure so level-L points of ALL
-//                variants solve concurrently
+//   ctmc         stationary solve of the full Markov chain (Table 1)
+//                from the product-form start; every grid point is one
+//                dependency-free task equal to its standalone evaluate()
+//                (the pointwise plan it shares with fixed-point and fluid)
 //   des          replications of the detailed network simulator, pooled
 //                into 95% CIs; plan_grids/evaluate_grid(s) emit one task
 //                per (variant, point, replication) with the same
 //                substream-block discipline as sim::ExperimentEngine, all
-//                dependency-free so they backfill idle solver threads in a
-//                merged campaign
+//                dependency-free
 //   mm1k-approx  cheap M/M/c/K fixed-point approximation of the data plane
 //                over the Erlang populations — the proof that a third-party
 //                approximation plugs into the registry without touching the
@@ -40,30 +37,9 @@
 // evaluate_grid() / evaluate_grids() / a plan's tasks.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 #include "eval/registry.hpp"
 
 namespace gprsim::eval {
-
-/// Deterministic warm-start schedule of an iterative backend's grid
-/// (exposed for tests): parent[i] is the grid index point i transfers
-/// information from (-1 = cold), and levels groups the indices into
-/// dependency waves — every parent of a level-k point sits in a level < k.
-/// warm_start = false yields a single all-cold level.
-struct SolveSchedule {
-    std::vector<int> parent;
-    std::vector<std::vector<int>> levels;
-};
-
-/// The bisection schedule: first point cold from the product form, last
-/// point offered the first's deviation, then recursively every segment
-/// midpoint offered its nearest solved endpoint's ("ties down"). O(log n)
-/// depth, so up to n/2 points of one grid solve concurrently; candidate
-/// sets are a pure function of the grid size, which keeps grid output
-/// bitwise invariant to the thread count.
-SolveSchedule bisection_schedule(std::size_t count, bool warm_start);
 
 namespace detail {
 

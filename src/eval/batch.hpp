@@ -4,10 +4,9 @@
 //
 // A campaign is backends x variants x rates (x replications for stochastic
 // backends). Dispatching one evaluate_grid per (backend, variant) runs the
-// grids one after another, so the narrow early waves of each variant's
-// warm-start schedule (1 task, then 1, then 2, ...) cannot overlap with
-// the other variants' wide waves, and DES replications cannot backfill the
-// solver threads those narrow waves leave idle. execute_plans() merges the
+// grids one after another, so one grid's tail (or a narrow network-fp
+// outer-iteration wave) leaves threads idle that the other grids' chain
+// solves and DES replications could fill. execute_plans() merges the
 // wave-tagged task sets of several GridPlans (one per backend, each
 // covering every variant — Evaluator::plan_grids) into ONE flat task set
 // per wave on ONE pool: global wave w runs every backend's wave-w tasks

@@ -128,8 +128,7 @@ struct ScenarioQuery {
 };
 
 /// One evaluated point with its provenance: which backend produced it and
-/// how hard it had to work. Iterative backends fill iterations/residual
-/// (and, under a grid's warm-start schedule, warm_parent/warm_started);
+/// how hard it had to work. Iterative backends fill iterations/residual;
 /// stochastic backends set has_confidence and attach the full
 /// replication-pooled detail in `sim`.
 struct PointEvaluation {
@@ -144,11 +143,6 @@ struct PointEvaluation {
     /// backend for network-fp, ...) and, where a backend chose it, why.
     std::string solver_method;
     std::string solver_reason;
-    /// Grid index whose warm-start information this point was offered;
-    /// -1 = cold (also for all non-grid evaluations).
-    int warm_parent = -1;
-    /// Whether the transferred candidate beat the cold start.
-    bool warm_started = false;
 
     // --- stochastic provenance ------------------------------------------
     /// True when `measures` are replication-pooled means and `sim` carries
@@ -179,8 +173,8 @@ struct GridOptions {
     /// Pool to shard on; nullptr (or width <= 1) evaluates serially.
     /// Not owned; must be at least num_threads wide.
     common::ThreadPool* pool = nullptr;
-    /// Whether iterative backends may transfer information between grid
-    /// points (the ctmc backend's bisection warm-start schedule).
+    /// No effect: every grid point is evaluated independently. Kept only
+    /// because perfbench reads it.
     bool warm_start = true;
     /// Offset added to each point's grid index when stochastic backends
     /// derive per-task random substream blocks: the des backend uses block
@@ -263,9 +257,9 @@ public:
     /// Evaluates the query at every arrival rate of an ascending grid.
     /// Returns one PointEvaluation per rate, in grid order. The default
     /// implementation loops over evaluate(); backends override it to keep
-    /// their batch internals (the ctmc backend's warm-start transfer
-    /// schedule, the des backend's replication sharding) without widening
-    /// the single-point API.
+    /// their batch internals (the des backend's replication sharding, the
+    /// network-fp backend's outer-iteration waves) without widening the
+    /// single-point API.
     virtual common::Result<std::vector<PointEvaluation>> evaluate_grid(
         const ScenarioQuery& base, std::span<const double> rates,
         const GridOptions& options = {});
@@ -273,11 +267,10 @@ public:
     /// Evaluates SEVERAL scenario variants over one shared rate grid in a
     /// single batch, returning one GridOutcome per query (query order).
     /// The default implementation loops over evaluate_grid, isolating each
-    /// query's error in its own slot; the ctmc and des backends override
-    /// it to execute their plan_grids task set, so one variant's narrow
-    /// warm-start waves overlap with the other variants' wide waves (and
-    /// DES replications backfill idle solver threads) instead of running
-    /// grid after grid. Results are invariant to the thread count, and —
+    /// query's error in its own slot; the built-in backends override it to
+    /// execute their plan_grids task set, so the points and replications
+    /// of every variant share one pool instead of running grid after
+    /// grid. Results are invariant to the thread count, and —
     /// for batches whose queries share one replication budget (a
     /// campaign's always do) — bitwise identical to the looped path; with
     /// unequal budgets the des backend widens its substream stride to the
@@ -293,13 +286,13 @@ public:
     /// implementation emits one wave-0 task per query that runs that
     /// query's whole evaluate_grid serially — correct for any backend, and
     /// already cross-query parallel; backends with internal dependency
-    /// structure (ctmc) or finer task grain (des) override it to expose
-    /// per-point / per-replication tasks. Implementations copy queries
-    /// and rates into the plan's shared state, so the caller's buffers
-    /// only need to outlive this call, not the plan's execution.
-    /// GridOptions::pool is ignored at
-    /// planning time: tasks run wherever the executor schedules them and
-    /// must therefore never touch a pool themselves.
+    /// structure (network-fp) or finer task grain (ctmc, des) override it
+    /// to expose per-iteration / per-point / per-replication tasks.
+    /// Implementations copy queries and rates into the plan's shared
+    /// state, so the caller's buffers only need to outlive this call, not
+    /// the plan's execution. GridOptions::pool is ignored at planning
+    /// time: tasks run wherever the executor schedules them and must
+    /// therefore never touch a pool themselves.
     virtual GridPlan plan_grids(std::span<const ScenarioQuery> queries,
                                 std::span<const double> rates,
                                 const GridOptions& options = {});

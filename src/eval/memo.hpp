@@ -8,8 +8,7 @@
 //
 //   - the evaluation service memoizes whole (backend, variant-slice)
 //     GridOutcomes across concurrent requests (service/service.hpp), keyed
-//     by query_signature() plus the slice suffix (rates, warm-start flag,
-//     grid offset);
+//     by query_signature() plus the slice suffix (rates, grid offset);
 //   - network-fp memoizes its inner single-cell solves within one plan or
 //     one evaluate() call (network/coupling.hpp), so the identical cells
 //     of a homogeneous lattice — and of every lattice of a campaign at the

@@ -41,7 +41,6 @@ using common::EvalError;
 using common::EvalErrorCode;
 using detail::WallClock;
 using detail::check_grid;
-using detail::execute_single_plan;
 using detail::failed_plan;
 using detail::first_error;
 using detail::guarded;
@@ -80,7 +79,7 @@ network::NetworkOptions outer_options(const ScenarioQuery& query) {
 
 // --- network-fp -----------------------------------------------------------
 
-class NetworkFpEvaluator final : public Evaluator {
+class NetworkFpEvaluator final : public detail::PlannedEvaluator {
 public:
     const std::string& name() const override {
         static const std::string n = "network-fp";
@@ -111,21 +110,6 @@ public:
             point.wall_seconds = clock.seconds();
             return point;
         });
-    }
-
-    /// Single-grid evaluation is the one-query batch.
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return execute_single_plan(plan_grids(queries, rates, options), options);
     }
 
     /// Grid planning as a flat wave-ordered task set: outer iteration w of
@@ -328,7 +312,7 @@ private:
 
 // --- network-des ----------------------------------------------------------
 
-class NetworkDesEvaluator final : public Evaluator {
+class NetworkDesEvaluator final : public detail::PlannedEvaluator {
 public:
     const std::string& name() const override {
         static const std::string n = "network-des";
@@ -359,21 +343,6 @@ public:
             point.wall_seconds = clock.seconds();
             return point;
         });
-    }
-
-    /// Single-grid evaluation is the one-query batch.
-    common::Result<std::vector<PointEvaluation>> evaluate_grid(
-        const ScenarioQuery& base, std::span<const double> rates,
-        const GridOptions& options) override {
-        std::vector<GridOutcome> outcomes =
-            evaluate_grids(std::span<const ScenarioQuery>(&base, 1), rates, options);
-        return std::move(outcomes.front());
-    }
-
-    std::vector<GridOutcome> evaluate_grids(std::span<const ScenarioQuery> queries,
-                                            std::span<const double> rates,
-                                            const GridOptions& options) override {
-        return execute_single_plan(plan_grids(queries, rates, options), options);
     }
 
     /// Same plan shape and substream-block discipline as the des backend:

@@ -21,8 +21,7 @@ Frame error_frame(std::uint64_t id, const common::EvalError& error) {
 }  // namespace
 
 std::string slice_signature(const std::string& backend, const eval::ScenarioQuery& query,
-                            const std::vector<double>& rates, bool warm_start,
-                            std::uint64_t grid_offset) {
+                            const std::vector<double>& rates, std::uint64_t grid_offset) {
     std::string sig = eval::query_signature(backend, query);
     char buffer[40];
     std::snprintf(buffer, sizeof(buffer), "%zu,", rates.size());
@@ -31,7 +30,7 @@ std::string slice_signature(const std::string& backend, const eval::ScenarioQuer
         std::snprintf(buffer, sizeof(buffer), "%a,", rate);  // hexfloat, as the query's
         sig += buffer;
     }
-    std::snprintf(buffer, sizeof(buffer), "%d,%llu,", warm_start ? 1 : 0,
+    std::snprintf(buffer, sizeof(buffer), "%llu,",
                   static_cast<unsigned long long>(grid_offset));
     sig += buffer;
     return sig;
@@ -190,7 +189,6 @@ void CampaignService::process(const Pending& pending) {
     auto& registry = eval::BackendRegistry::global();
     const std::vector<std::string>& methods = workload.effective.methods;
     const std::vector<double>& rates = workload.effective.rates;
-    const bool warm_start = workload.effective.solver.warm_start;
 
     // Evaluate every (backend, variant) slice through the shared store, one
     // evaluate_grid per slice with the same queries and grid offsets as
@@ -217,7 +215,7 @@ void CampaignService::process(const Pending& pending) {
             const eval::ScenarioQuery& query = workload.queries[v];
             const std::uint64_t offset = workload.grid_offset(v);
             const std::string signature =
-                slice_signature(method, query, rates, warm_start, offset);
+                slice_signature(method, query, rates, offset);
 
             bool hit = false;
             eval::GridOutcome slice = store_.get_or_compute(
@@ -226,7 +224,6 @@ void CampaignService::process(const Pending& pending) {
                     eval::GridOptions grid;
                     grid.num_threads = options_.num_threads;
                     grid.pool = options_.num_threads > 1 ? &pool_ : nullptr;
-                    grid.warm_start = warm_start;
                     grid.grid_offset = offset;
                     eval::GridOutcome computed = evaluator.value()->evaluate_grid(
                         query, std::span<const double>(rates), grid);

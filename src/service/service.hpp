@@ -25,10 +25,9 @@
 // out of the shared warm store. This holds because (a) every slice is
 // evaluated by a per-(backend, variant) evaluate_grid with the workload's
 // grid_offset, which every backend keeps bitwise equal to its slice of the
-// merged campaign batch, and (b) the
-// store memoizes finished GridOutcomes keyed by the exhaustive slice
-// signature — it never transfers warm-start state ACROSS requests, which
-// would change the iterations/warm_parent CSV columns.
+// merged campaign batch, and (b) the store memoizes finished GridOutcomes
+// keyed by the exhaustive slice signature, so a hit is bit-identical to
+// recomputing the slice.
 #pragma once
 
 #include <atomic>
@@ -160,12 +159,10 @@ private:
 };
 
 /// The warm store's key for one (backend, variant) slice: the exhaustive
-/// eval::query_signature plus the slice suffix — the rate grid, the
-/// warm-start flag, and the substream grid offset. Two slices with equal
-/// signatures are guaranteed to produce bit-identical GridOutcomes under
-/// the determinism contract.
+/// eval::query_signature plus the slice suffix — the rate grid and the
+/// substream grid offset. Two slices with equal signatures are guaranteed
+/// to produce bit-identical GridOutcomes under the determinism contract.
 std::string slice_signature(const std::string& backend, const eval::ScenarioQuery& query,
-                            const std::vector<double>& rates, bool warm_start,
-                            std::uint64_t grid_offset);
+                            const std::vector<double>& rates, std::uint64_t grid_offset);
 
 }  // namespace gprsim::service

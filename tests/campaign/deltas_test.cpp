@@ -107,8 +107,8 @@ TEST(CampaignDeltas, DeltaColumnsRoundTripThroughCsv) {
     std::istringstream in(out.str());
     const CsvTable table = read_csv(in);
 
-    // 42 legacy columns + one delta block for the one non-reference method.
-    ASSERT_EQ(table.columns.size(), 46u);
+    // 40 legacy columns + one delta block for the one non-reference method.
+    ASSERT_EQ(table.columns.size(), 44u);
     ASSERT_EQ(table.rows.size(), result.points.size());
     for (std::size_t row = 0; row < table.rows.size(); ++row) {
         EXPECT_EQ(table.cell(row, "delta_cdt:offset-b"), "-0.25");
@@ -128,7 +128,7 @@ TEST(CampaignDeltas, SingleMethodCampaignKeepsLegacyColumnLayout) {
     write_campaign_csv(result, out);
     std::istringstream in(out.str());
     const CsvTable table = read_csv(in);
-    EXPECT_EQ(table.columns.size(), 42u);
+    EXPECT_EQ(table.columns.size(), 40u);
     EXPECT_THROW(table.column("delta_cdt:offset-a"), std::out_of_range);
 }
 

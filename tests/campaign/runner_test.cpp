@@ -1,8 +1,8 @@
-// CampaignRunner: the bisection warm-start schedule, warm-vs-cold solve
-// agreement (within solver tolerance) with strictly fewer total iterations,
-// bitwise thread-count invariance of full campaign output, and model-vs-sim
-// deltas under the legacy "both" (= ctmc + des) method list. Cells are kept
-// tiny (N = 5..6 channels, small M and buffer) so a full campaign solves in
+// CampaignRunner: bitwise thread-count invariance of full campaign output
+// (and its independence of the no-op warm_start key), model-vs-sim deltas
+// under the legacy "both" (= ctmc + des) method list, multi-backend
+// deltas, and the merged task set's wave accounting. Cells are kept tiny
+// (N = 5..8 channels, small M and buffer) so a full campaign solves in
 // well under a second.
 #include "campaign/runner.hpp"
 
@@ -11,16 +11,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <sstream>
+
+#include "campaign/sink.hpp"
 
 namespace gprsim::campaign {
 namespace {
 
-/// Small-cell spec shared by the solve tests. The cell is deliberately
-/// heavily loaded (30% GPRS users, rates near saturation): there the
-/// product-form cold start is weak and the neighbor warm start saves ~2x,
-/// so the iteration-saving assertion has a wide margin. (On nearly
-/// decoupled cells the product form is already near-exact and warm starts
-/// only break even.)
+/// Small-cell spec shared by the solve tests: a heavily loaded cell (30%
+/// GPRS users, rates near saturation) where the chain is strongly coupled
+/// and the product-form start is far from the solution.
 ScenarioSpec tiny_ctmc_spec() {
     ScenarioSpec spec;
     spec.named("tiny")
@@ -33,94 +33,6 @@ ScenarioSpec tiny_ctmc_spec() {
     spec.buffer_capacity = 25;
     spec.max_gprs_sessions = {10};
     return spec;
-}
-
-TEST(BisectionSchedule, ColdStartIsOneMaximalLevel) {
-    const SolveSchedule schedule = bisection_schedule(7, /*warm_start=*/false);
-    ASSERT_EQ(schedule.levels.size(), 1u);
-    EXPECT_EQ(schedule.levels[0].size(), 7u);
-    EXPECT_TRUE(std::all_of(schedule.parent.begin(), schedule.parent.end(),
-                            [](int p) { return p == -1; }));
-}
-
-TEST(BisectionSchedule, WarmStartCoversEveryPointExactlyOnce) {
-    for (const std::size_t count : {1u, 2u, 3u, 8u, 9u, 64u}) {
-        const SolveSchedule schedule = bisection_schedule(count, /*warm_start=*/true);
-        std::vector<int> seen(count, 0);
-        for (const auto& level : schedule.levels) {
-            for (const int index : level) {
-                ASSERT_GE(index, 0);
-                ASSERT_LT(static_cast<std::size_t>(index), count);
-                ++seen[static_cast<std::size_t>(index)];
-            }
-        }
-        EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](int n) { return n == 1; }))
-            << "count = " << count;
-        // Only the root is cold.
-        EXPECT_EQ(std::count(schedule.parent.begin(), schedule.parent.end(), -1), 1)
-            << "count = " << count;
-    }
-}
-
-TEST(BisectionSchedule, ParentsAreSolvedInEarlierLevels) {
-    const SolveSchedule schedule = bisection_schedule(16, /*warm_start=*/true);
-    std::vector<int> level_of(16, -1);
-    for (std::size_t level = 0; level < schedule.levels.size(); ++level) {
-        for (const int index : schedule.levels[level]) {
-            level_of[static_cast<std::size_t>(index)] = static_cast<int>(level);
-        }
-    }
-    for (std::size_t i = 0; i < 16; ++i) {
-        const int parent = schedule.parent[i];
-        if (parent >= 0) {
-            EXPECT_LT(level_of[static_cast<std::size_t>(parent)], level_of[i]) << i;
-        }
-    }
-    // Log-depth: 16 points need well under 16 levels.
-    EXPECT_LE(schedule.levels.size(), 6u);
-}
-
-TEST(CampaignRunner, WarmStartAgreesWithColdAndSavesIterations) {
-    ctmc::SolverEngine engine;
-    CampaignRunner runner(engine);
-    const ScenarioSpec spec = tiny_ctmc_spec();
-
-    const CampaignResult warm = runner.run(spec);
-    CampaignOptions cold_options;
-    cold_options.force_cold = true;
-    const CampaignResult cold = runner.run(spec, cold_options);
-
-    ASSERT_EQ(warm.points.size(), 18u);
-    ASSERT_EQ(cold.points.size(), 18u);
-    EXPECT_TRUE(warm.summary.warm_start);
-    EXPECT_FALSE(cold.summary.warm_start);
-    EXPECT_EQ(warm.summary.model_solves, 18u);
-    // Every point except each variant's root is offered a transfer, and on
-    // this strongly coupled cell the transfers win their residual
-    // comparisons (at least somewhere).
-    EXPECT_EQ(warm.summary.warm_offered_solves, 16u);
-    EXPECT_GT(warm.summary.warm_started_solves, 0u);
-    EXPECT_LE(warm.summary.warm_started_solves, warm.summary.warm_offered_solves);
-    EXPECT_EQ(cold.summary.warm_offered_solves, 0u);
-    EXPECT_EQ(cold.summary.warm_started_solves, 0u);
-
-    // Both runs converged to the same stationary solution. The residual
-    // tolerance bounds pi Q, not the measures: sensitive ratio measures
-    // (QD) inherit a ~1e4 amplification of the 1e-10 residual, so "agree"
-    // here means within 1e-4, observed ~5e-6.
-    for (std::size_t i = 0; i < warm.points.size(); ++i) {
-        EXPECT_NEAR(warm.points[i].model.carried_data_traffic,
-                    cold.points[i].model.carried_data_traffic, 1e-4);
-        EXPECT_NEAR(warm.points[i].model.queueing_delay,
-                    cold.points[i].model.queueing_delay, 1e-4);
-        EXPECT_LE(warm.points[i].residual, spec.solver.tolerance);
-    }
-
-    // The headline acceptance: the warm-started campaign reports fewer
-    // total solver iterations than the cold-start baseline.
-    EXPECT_LT(warm.summary.total_iterations, cold.summary.total_iterations)
-        << "warm " << warm.summary.total_iterations << " vs cold "
-        << cold.summary.total_iterations;
 }
 
 TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
@@ -151,7 +63,6 @@ TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
         EXPECT_EQ(std::memcmp(&pa.model.packet_loss_probability,
                               &pb.model.packet_loss_probability, sizeof(double)), 0) << i;
         EXPECT_EQ(pa.iterations, pb.iterations) << i;
-        EXPECT_EQ(pa.warm_parent, pb.warm_parent) << i;
         EXPECT_EQ(std::memcmp(&pa.sim.carried_data_traffic.mean,
                               &pb.sim.carried_data_traffic.mean, sizeof(double)), 0) << i;
         EXPECT_EQ(std::memcmp(&pa.sim.queueing_delay.half_width,
@@ -161,6 +72,18 @@ TEST(CampaignRunner, OutputBitwiseInvariantToThreadCount) {
     }
     EXPECT_EQ(a.summary.total_iterations, b.summary.total_iterations);
     EXPECT_EQ(a.summary.sim_events, b.summary.sim_events);
+
+    // The spec's warm_start key is accepted but has no effect: the same
+    // spec with it on and off writes byte-identical CSVs.
+    ScenarioSpec warm_spec = spec;
+    warm_spec.solver.warm_start = true;
+    ScenarioSpec cold_spec = spec;
+    cold_spec.solver.warm_start = false;
+    std::ostringstream warm_csv;
+    std::ostringstream cold_csv;
+    write_campaign_csv(runner.run(warm_spec, wide), warm_csv);
+    write_campaign_csv(runner.run(cold_spec, wide), cold_csv);
+    EXPECT_EQ(warm_csv.str(), cold_csv.str());
 }
 
 TEST(CampaignRunner, BothMethodFillsDeltasAndCis) {
@@ -288,8 +211,6 @@ void expect_points_bitwise_equal(const CampaignPoint& pa, const CampaignPoint& p
     EXPECT_EQ(std::memcmp(&pa.model.queueing_delay, &pb.model.queueing_delay,
                           sizeof(double)), 0) << i;
     EXPECT_EQ(pa.iterations, pb.iterations) << i;
-    EXPECT_EQ(pa.warm_parent, pb.warm_parent) << i;
-    EXPECT_EQ(pa.warm_started, pb.warm_started) << i;
     EXPECT_EQ(pa.has_sim, pb.has_sim) << i;
     if (pa.has_sim && pb.has_sim) {
         EXPECT_EQ(std::memcmp(&pa.sim.carried_data_traffic.mean,
@@ -305,13 +226,18 @@ void expect_points_bitwise_equal(const CampaignPoint& pa, const CampaignPoint& p
 
 TEST(CampaignRunner, MergedBatchIsWidthInvariantAndNeedsFewerWaves) {
     // The headline acceptance of the batched path: a 3-variant,
-    // 2-backend campaign produces bitwise-identical output through the
+    // 3-backend campaign produces bitwise-identical output through the
     // merged task set at 1 and 4 threads, while the merged task set needs
-    // fewer waves than the grids dispatched one at a time.
+    // fewer waves than the grids dispatched one at a time. network-fp is
+    // the multi-wave plan: it lays out one wave per outer iteration.
+    constexpr int kOuterWaves = 4;
     ctmc::SolverEngine engine;
     CampaignRunner runner(engine);
     ScenarioSpec spec = tiny_ctmc_spec();
-    spec.with_methods({"ctmc", "des"}).over_reserved_pdch({1, 2, 3});
+    spec.with_methods({"ctmc", "des", "network-fp"}).over_reserved_pdch({1, 2, 3});
+    NetworkSpec network;
+    network.outer_max_iterations = kOuterWaves;
+    spec.with_network(network);
     spec.simulation.replications = 2;
     spec.simulation.warmup_time = 100.0;
     spec.simulation.batch_count = 3;
@@ -330,18 +256,20 @@ TEST(CampaignRunner, MergedBatchIsWidthInvariantAndNeedsFewerWaves) {
     }
     EXPECT_EQ(wide.summary.total_iterations, serial.summary.total_iterations);
     EXPECT_EQ(wide.summary.sim_events, serial.summary.sim_events);
-    EXPECT_EQ(wide.summary.warm_started_solves, serial.summary.warm_started_solves);
 
     // Cross-variant interleaving: the merged task set's wave count is the
-    // DEEPEST plan (ctmc's bisection schedule), far below the sum over
-    // every (backend, variant) grid run on its own.
+    // DEEPEST plan (network-fp's outer iterations; ctmc and des are one
+    // wave each), far below the sum over every (backend, variant) grid run
+    // on its own.
     EXPECT_GT(wide.summary.batch_waves, 0u);
     EXPECT_LT(wide.summary.batch_waves, wide.summary.sequential_waves);
-    const std::size_t ctmc_depth = bisection_schedule(9, true).levels.size();
-    EXPECT_EQ(wide.summary.batch_waves, ctmc_depth);
-    EXPECT_EQ(wide.summary.sequential_waves, 3 * ctmc_depth + 3);  // + 3 des grids
-    // 27 solves + 27 points x 2 replications of simulator tasks.
-    EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u);
+    const std::size_t fp_depth = kOuterWaves;
+    EXPECT_EQ(wide.summary.batch_waves, fp_depth);
+    // 3 ctmc grids + 3 des grids + 3 network-fp grids.
+    EXPECT_EQ(wide.summary.sequential_waves, 3 + 3 + 3 * fp_depth);
+    // 27 solves + 27 points x 2 replications of simulator tasks + 27
+    // points x 4 cells x fp_depth network-fp cell tasks.
+    EXPECT_EQ(wide.summary.batch_tasks, 27u + 54u + 27u * 4u * fp_depth);
 }
 
 TEST(CampaignRunner, ProgressCallbackSeesEverySolve) {

@@ -38,7 +38,7 @@ TEST(CampaignCsv, RoundTripsExactBits) {
     std::istringstream in(out.str());
     const CsvTable table = read_csv(in);
     ASSERT_EQ(table.rows.size(), result.points.size());
-    ASSERT_EQ(table.columns.size(), 42u);
+    ASSERT_EQ(table.columns.size(), 40u);
 
     for (std::size_t row = 0; row < table.rows.size(); ++row) {
         const CampaignPoint& point = result.points[row];

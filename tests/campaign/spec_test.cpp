@@ -9,6 +9,8 @@
 #include <string>
 
 #include "campaign/json.hpp"
+#include "campaign/runner.hpp"
+#include "eval/memo.hpp"
 #include "eval/registry.hpp"
 
 namespace gprsim::campaign {
@@ -250,6 +252,37 @@ TEST(ParseSpecErrors, WrongTypeCarriesItsLine) {
       "method": 3
     })",
                             3, "expected string");
+}
+
+TEST(ParseSpec, WarmStartKeyIsATypeCheckedNoOp) {
+    // "warm_start" still parses (older specs set it) but changes nothing:
+    // false and true expand to the same workload, query for query.
+    const auto workload_of = [](const char* flag) {
+        return build_campaign_workload(parse_spec(std::string(R"({
+      "method": "ctmc",
+      "reserved_pdch": [1, 2],
+      "rates": [0.2, 0.5],
+      "solver": {"tolerance": 1e-9, "warm_start": )") + flag + "}\n    }"));
+    };
+    const CampaignWorkload on = workload_of("true");
+    const CampaignWorkload off = workload_of("false");
+    EXPECT_EQ(on.effective.rates, off.effective.rates);
+    EXPECT_EQ(on.effective.methods, off.effective.methods);
+    ASSERT_EQ(on.queries.size(), 2u);
+    ASSERT_EQ(on.queries.size(), off.queries.size());
+    for (std::size_t v = 0; v < on.queries.size(); ++v) {
+        EXPECT_EQ(eval::query_signature("ctmc", on.queries[v]),
+                  eval::query_signature("ctmc", off.queries[v]))
+            << v;
+    }
+    // The type check on outside input stays.
+    expect_rejected_at_line(R"({
+      "rates": [0.5],
+      "solver": {
+        "warm_start": 3
+      }
+    })",
+                            4, "expected boolean");
 }
 
 TEST(ParseSpecErrors, NonIntegerAxisValueRejected) {

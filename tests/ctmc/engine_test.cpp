@@ -1,5 +1,5 @@
-// SolverEngine tests: the one Gauss-Seidel scheme, its pool, warm-start
-// candidate selection and the method-name vocabulary.
+// SolverEngine tests: the one Gauss-Seidel scheme, its pool, initial-vector
+// validation and the method-name vocabulary.
 #include "ctmc/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -86,52 +86,6 @@ TEST(SolverEngine, RejectsDegenerateInputsLikeTheSerialSolver) {
     const QtMatrix qt = qt_from_triplets(10, random_chain(10, 1));
     options.initial.assign(7, 0.1);  // size mismatch
     EXPECT_THROW(engine.solve(qt, options), std::invalid_argument);
-}
-
-TEST(SolverEngine, InitialCandidatesPickTheLowestResidualStart) {
-    // Candidate selection: offered the converged solution and the uniform
-    // vector, the engine must start from the solution (index 0 reported)
-    // and converge almost immediately; order flipped, it reports index 1.
-    SolverEngine engine;
-    const index_type n = 60;
-    const QtMatrix qt = qt_from_triplets(n, random_chain(n, 5));
-    SolveOptions options;
-    options.tolerance = 1e-12;
-    const SolveResult reference = engine.solve(qt, options);
-    ASSERT_TRUE(reference.converged);
-
-    const std::vector<double> uniform(static_cast<std::size_t>(n), 1.0);
-    SolveOptions with_candidates;
-    with_candidates.tolerance = 1e-12;
-    with_candidates.initial_candidates = {reference.distribution, uniform};
-    const SolveResult from_solution = engine.solve(qt, with_candidates);
-    EXPECT_EQ(from_solution.initial_selected, 0);
-    EXPECT_LE(from_solution.iterations, reference.iterations);
-
-    with_candidates.initial_candidates = {uniform, reference.distribution};
-    EXPECT_EQ(engine.solve(qt, with_candidates).initial_selected, 1);
-
-    // The preference margin keeps near-ties at the earlier candidate: an
-    // identical later candidate never displaces the incumbent, while a
-    // decisively better one still does.
-    with_candidates.candidate_margin = 0.5;
-    with_candidates.initial_candidates = {uniform, uniform};
-    EXPECT_EQ(engine.solve(qt, with_candidates).initial_selected, 0);
-    with_candidates.initial_candidates = {uniform, reference.distribution};
-    EXPECT_EQ(engine.solve(qt, with_candidates).initial_selected, 1);
-    with_candidates.candidate_margin = 1.0;
-
-    // No candidate list: the field stays -1.
-    EXPECT_EQ(reference.initial_selected, -1);
-
-    // Mutually exclusive with a plain initial; sizes are validated.
-    SolveOptions conflicting;
-    conflicting.initial = uniform;
-    conflicting.initial_candidates = {uniform};
-    EXPECT_THROW(engine.solve(qt, conflicting), std::invalid_argument);
-    SolveOptions missized;
-    missized.initial_candidates = {std::vector<double>(7, 0.1)};
-    EXPECT_THROW(engine.solve(qt, missized), std::invalid_argument);
 }
 
 TEST(AutoSelect, AutoPickedSerialStaysSerialOnAWideEngine) {

@@ -58,8 +58,6 @@ void expect_bitwise_equal(const PointEvaluation& a, const PointEvaluation& b) {
     EXPECT_EQ(std::memcmp(&a.measures.packet_loss_probability,
                           &b.measures.packet_loss_probability, sizeof(double)), 0);
     EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.warm_parent, b.warm_parent);
-    EXPECT_EQ(a.warm_started, b.warm_started);
     if (a.has_confidence || b.has_confidence) {
         EXPECT_EQ(a.has_confidence, b.has_confidence);
         EXPECT_EQ(std::memcmp(&a.sim.carried_data_traffic.mean,
@@ -106,7 +104,7 @@ TEST(EvaluateGrids, SingleQueryBatchMatchesEvaluateGridBitwise) {
 
 TEST(EvaluateGrids, BatchMatchesLoopedGridsBitwiseAtEveryWidth) {
     // The batched path must reproduce the sequential per-variant loop
-    // exactly: same warm-start schedules per variant, same substream
+    // exactly: same independent chain solves per variant, same substream
     // blocks (variant q starts at grid_offset q * rates.size()).
     const std::vector<double> rates{0.3, 0.5, 0.7};
     const std::vector<ScenarioQuery> queries = tiny_variants();
@@ -196,9 +194,9 @@ TEST(PlanGrids, CtmcSharesWavesAcrossVariantsAndDesIsFlat) {
     const std::vector<ScenarioQuery> queries = tiny_variants();
     GridOptions options;
     GridPlan ctmc_plan = backend("ctmc").plan_grids(queries, rates, options);
-    const SolveSchedule schedule = bisection_schedule(rates.size(), true);
-    EXPECT_EQ(ctmc_plan.waves, schedule.levels.size());
-    EXPECT_EQ(ctmc_plan.sequential_waves, schedule.levels.size() * queries.size());
+    // Every chain point is an independent task: one wave for all variants.
+    EXPECT_EQ(ctmc_plan.waves, 1u);
+    EXPECT_EQ(ctmc_plan.sequential_waves, queries.size());
     EXPECT_EQ(ctmc_plan.tasks.size(), rates.size() * queries.size());
 
     GridPlan des_plan = backend("des").plan_grids(queries, rates, options);
@@ -226,9 +224,15 @@ TEST(PlanGrids, CtmcSharesWavesAcrossVariantsAndDesIsFlat) {
 }
 
 TEST(EvaluateCampaign, MergesBackendsIntoFewerWavesThanSequential) {
+    // network-fp pre-allocates one wave per outer iteration, so it is the
+    // multi-wave plan here; the single-cell backends ignore the knob.
+    constexpr int kOuterWaves = 4;
     CampaignRequest request;
-    request.backends = {"ctmc", "des", "erlang"};
+    request.backends = {"ctmc", "des", "erlang", "network-fp"};
     request.queries = tiny_variants();
+    for (ScenarioQuery& query : request.queries) {
+        query.network.outer_max_iterations = kOuterWaves;
+    }
     request.rates = {0.3, 0.4, 0.5, 0.6, 0.7};
     common::ThreadPool pool(4);
     GridOptions options;
@@ -237,23 +241,22 @@ TEST(EvaluateCampaign, MergesBackendsIntoFewerWavesThanSequential) {
     auto evaluated = evaluate_campaign(BackendRegistry::global(), request, options);
     ASSERT_TRUE(evaluated.ok());
     const CampaignEvaluation& evaluation = evaluated.value();
-    ASSERT_EQ(evaluation.outcomes.size(), 3u);
-    for (std::size_t b = 0; b < 3; ++b) {
+    ASSERT_EQ(evaluation.outcomes.size(), 4u);
+    for (std::size_t b = 0; b < 4; ++b) {
         ASSERT_EQ(evaluation.outcomes[b].size(), request.queries.size());
         for (const GridOutcome& outcome : evaluation.outcomes[b]) {
             ASSERT_TRUE(outcome.ok());
             ASSERT_EQ(outcome.value().size(), request.rates.size());
         }
     }
-    // The merged depth is the deepest plan (ctmc's bisection schedule);
-    // sequentially the same work queues 3 ctmc grids + 3 des grids + the
-    // erlang closures one after another.
-    const std::size_t ctmc_depth =
-        bisection_schedule(request.rates.size(), true).levels.size();
-    EXPECT_EQ(evaluation.stats.waves, ctmc_depth);
+    // The merged depth is the deepest plan (network-fp's outer
+    // iterations); sequentially the same work queues 3 ctmc grids + 3 des
+    // grids + the erlang closures + 3 network-fp grids one after another.
+    const std::size_t fp_depth = kOuterWaves;
+    EXPECT_EQ(evaluation.stats.waves, fp_depth);
     EXPECT_GT(evaluation.stats.sequential_waves, evaluation.stats.waves);
     EXPECT_EQ(evaluation.stats.sequential_waves,
-              3 * ctmc_depth + 3 + 3);  // ctmc + des + erlang(default plan)
+              3 + 3 + 3 + 3 * fp_depth);  // ctmc + des + erlang + network-fp
     EXPECT_GE(evaluation.stats.max_wave_width,
               request.queries.size());  // cross-variant interleaving
     // Slots agree bitwise with standalone grids.

@@ -217,19 +217,18 @@ TEST(WarmStore, SignatureSeparatesEveryAxis) {
     using service::slice_signature;
     ScenarioQuery query;
     const std::vector<double> rates{0.5, 1.0};
-    const std::string base = slice_signature("ctmc", query, rates, true, 0);
-    EXPECT_NE(base, slice_signature("des", query, rates, true, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, {0.5}, true, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, rates, false, 0));
-    EXPECT_NE(base, slice_signature("ctmc", query, rates, true, 2));
+    const std::string base = slice_signature("ctmc", query, rates, 0);
+    EXPECT_NE(base, slice_signature("des", query, rates, 0));
+    EXPECT_NE(base, slice_signature("ctmc", query, {0.5}, 0));
+    EXPECT_NE(base, slice_signature("ctmc", query, rates, 2));
 
     ScenarioQuery changed = query;
     changed.simulation.seed = 7;
-    EXPECT_NE(base, slice_signature("ctmc", changed, rates, true, 0));
+    EXPECT_NE(base, slice_signature("ctmc", changed, rates, 0));
     changed = query;
     changed.parameters.gprs_fraction = 0.2;
-    EXPECT_NE(base, slice_signature("ctmc", changed, rates, true, 0));
-    EXPECT_EQ(base, slice_signature("ctmc", query, rates, true, 0));
+    EXPECT_NE(base, slice_signature("ctmc", changed, rates, 0));
+    EXPECT_EQ(base, slice_signature("ctmc", query, rates, 0));
 
     // Every field, one at a time. The member counts pin the lists below
     // to the structs: a new field fails here until the signature and its
@@ -265,7 +264,7 @@ TEST(WarmStore, SignatureSeparatesEveryAxis) {
             blocks[b][f](perturbed);
             const std::string sig = query_signature("ctmc", perturbed);
             EXPECT_NE(sig, query_base) << "block " << b << " field " << f;
-            EXPECT_NE(slice_signature("ctmc", perturbed, rates, true, 0), base)
+            EXPECT_NE(slice_signature("ctmc", perturbed, rates, 0), base)
                 << "block " << b << " field " << f;
             seen.push_back(sig);
         }

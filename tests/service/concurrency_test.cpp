@@ -1,8 +1,8 @@
 // Service concurrency contract:
 //   1. N concurrent requests over the shared warm store return CSV bytes
 //      IDENTICAL to a sequential one-shot campaign run of the same spec —
-//      the store memoizes finished slices, it never lets one request's
-//      warm-start state leak into another's output.
+//      the store memoizes finished slices, so a hit is bit-identical to
+//      recomputing the slice.
 //   2. Store refcounts drain to zero once nothing is in flight.
 //   3. A saturated service REJECTS with a typed `saturated` error; the
 //      bounded queue never grows past its capacity.
@@ -24,7 +24,7 @@ namespace gprsim::service {
 namespace {
 
 /// Mixed deterministic + stochastic backends on a tiny cell: the ctmc
-/// warm-start schedule and the DES substream plan are exactly the parts
+/// iteration counts and the DES substream plan are exactly the parts
 /// whose bytes would drift if the service mis-dispatched a slice.
 const char* kIdentitySpec = R"({
   "name": "svc_identity",
