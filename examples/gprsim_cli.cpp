@@ -56,11 +56,16 @@
 //   --csv=<path>          write the per-point table as CSV
 //   --out=<path>          write points + summary as JSON
 //   --quiet               suppress per-solve progress on stderr
+//
+// Each subcommand accepts only the options it reads: any other --option
+// prints "error: unknown option --<name>" and exits with status 2.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "campaign/runner.hpp"
 #include "campaign/sink.hpp"
@@ -403,6 +408,60 @@ int cmd_fit_trace(int argc, char** argv) {
     return 0;
 }
 
+/// The options parameters_from_flags reads.
+const std::vector<std::string_view> kCellFlags = {"traffic",  "rate", "gprs", "pdch", "channels",
+                                                  "buffer",   "m",    "eta",  "bler"};
+
+struct Subcommand {
+    const char* name;
+    int (*run)(int, char**);
+    bool cell_flags;                      // reads parameters_from_flags
+    std::vector<std::string_view> flags;  // the other options it reads
+};
+
+const std::vector<Subcommand>& subcommands() {
+    static const std::vector<Subcommand> table = {
+        {"analyze", cmd_analyze, true, {}},
+        {"simulate", cmd_simulate, true, {"seed", "batches", "batch-seconds", "no-tcp"}},
+        {"eval",
+         cmd_eval,
+         true,
+         {"list-backends", "backend", "tolerance", "replications", "seed", "fp-tolerance",
+          "fp-damping", "fp-max-iterations", "ode-rtol", "ode-atol", "ode-max-steps",
+          "net-cells", "net-topology", "net-no-wrap", "net-reuse", "net-ra-block", "net-speed",
+          "net-drift", "net-inner", "net-tolerance", "net-damping", "net-max-outer"}},
+        {"dimension",
+         cmd_dimension,
+         true,
+         {"max-plp", "max-delay", "max-voice-blocking", "max-pdch"}},
+        {"campaign",
+         cmd_campaign,
+         false,
+         {"list-backends", "replications", "threads", "solver-method", "csv", "out", "quiet"}},
+        {"fit-trace", cmd_fit_trace, false, {}},
+    };
+    return table;
+}
+
+/// The name of the first --option in argv[2..] that `command` does not
+/// read, or an empty view.
+std::string_view unknown_flag(const Subcommand& command, int argc, char** argv) {
+    for (int i = 2; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg.substr(0, 2) != "--") {
+            continue;
+        }
+        const std::string_view name = arg.substr(2, arg.find('=') - 2);
+        const auto known = [&](const std::vector<std::string_view>& flags) {
+            return std::find(flags.begin(), flags.end(), name) != flags.end();
+        };
+        if (!known(command.flags) && !(command.cell_flags && known(kCellFlags))) {
+            return name;
+        }
+    }
+    return {};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -413,28 +472,21 @@ int main(int argc, char** argv) {
         return 1;
     }
     const std::string command = argv[1];
-    try {
-        if (command == "analyze") {
-            return cmd_analyze(argc, argv);
+    for (const Subcommand& sub : subcommands()) {
+        if (command != sub.name) {
+            continue;
         }
-        if (command == "simulate") {
-            return cmd_simulate(argc, argv);
+        if (const std::string_view flag = unknown_flag(sub, argc, argv); !flag.empty()) {
+            std::fprintf(stderr, "error: unknown option --%.*s\n",
+                         static_cast<int>(flag.size()), flag.data());
+            return 2;
         }
-        if (command == "eval") {
-            return cmd_eval(argc, argv);
+        try {
+            return sub.run(argc, argv);
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "error: %s\n", e.what());
+            return 1;
         }
-        if (command == "dimension") {
-            return cmd_dimension(argc, argv);
-        }
-        if (command == "campaign") {
-            return cmd_campaign(argc, argv);
-        }
-        if (command == "fit-trace") {
-            return cmd_fit_trace(argc, argv);
-        }
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
     }
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return 1;

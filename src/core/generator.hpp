@@ -30,6 +30,9 @@ public:
 
     // --- ctmc::QtOperatorConcept ---------------------------------------
     common::index_type size() const { return space_.size(); }
+    /// K + 1: the codec stores the buffer level k outermost, and k moves
+    /// one level at a time while the phase (n, m, r) keeps still.
+    common::index_type levels() const { return space_.buffer_capacity() + 1; }
 
     double diagonal(common::index_type i) const {
         return -total_exit_rate(parameters_, rates_, space_.state_of(i));
@@ -45,7 +48,9 @@ public:
     }
 
     // --- materialized forms ---------------------------------------------
-    /// Transposed generator in CSR form (off-diagonal) plus diagonal array.
+    /// Transposed generator in CSR form (off-diagonal) plus diagonal array,
+    /// with levels() levels: its rows are stored phase column by phase
+    /// column (see ctmc::QtMatrix).
     ctmc::QtMatrix to_qt_matrix() const;
 
     /// The generator Q itself (diagonal included); used by GTH ground-truth

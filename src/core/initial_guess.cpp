@@ -95,4 +95,25 @@ std::vector<double> product_form_initial(const Parameters& p, const BalancedTraf
     return initial;
 }
 
+std::vector<double> phase_corrected_initial(const Parameters& p,
+                                            const BalancedTraffic& balanced,
+                                            const StateSpace& space,
+                                            std::vector<double> previous) {
+    const std::vector<double> exact = product_form_initial(p, balanced, space);
+    // The codec stores k outermost: state f + k * phases is phase f at k.
+    const auto phases = static_cast<std::size_t>(
+        space.size() / (static_cast<common::index_type>(space.buffer_capacity()) + 1));
+    std::vector<double> have(phases, 0.0);
+    std::vector<double> want(phases, 0.0);
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+        have[i % phases] += previous[i];
+        want[i % phases] += exact[i];
+    }
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+        const std::size_t f = i % phases;
+        previous[i] = have[f] > 0.0 ? previous[i] * (want[f] / have[f]) : exact[i];
+    }
+    return previous;
+}
+
 }  // namespace gprsim::core

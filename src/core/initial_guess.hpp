@@ -22,4 +22,16 @@ std::vector<double> product_form_initial(const Parameters& parameters,
                                          const BalancedTraffic& balanced,
                                          const StateSpace& space);
 
+/// A warm start from a neighbouring operating point's distribution
+/// `previous` over `space`: within each phase (n, m, r) the buffer
+/// distribution of `previous` is kept, and the phase's total mass is set to
+/// its exact marginal (that of product_form_initial). The line solve
+/// settles a phase's buffer column in one sweep but moves mass between
+/// phases slowly, so a start with stale phase marginals can cost more
+/// sweeps than the product form itself.
+std::vector<double> phase_corrected_initial(const Parameters& parameters,
+                                            const BalancedTraffic& balanced,
+                                            const StateSpace& space,
+                                            std::vector<double> previous);
+
 }  // namespace gprsim::core

@@ -38,15 +38,6 @@ common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_s
         if (estimated_qt_bytes() <= memory_budget_) {
             const ctmc::QtMatrix qt = generator_.to_qt_matrix();
             used_matrix_free_ = false;
-            if (effective.permutation.empty()) {
-                // QBD level grouping (identity for this codec — detected
-                // and skipped by the engine, but stated here so a codec
-                // change automatically reorders the solve). Only explicit
-                // matrices can be reindexed, hence CSR branch only.
-                ctmc::SolveOptions ordered = effective;
-                ordered.permutation = qbd_level_ordering(space());
-                return engine.solve(qt, ordered);
-            }
             return engine.solve(qt, effective);
         }
         used_matrix_free_ = true;
@@ -73,7 +64,8 @@ common::Result<std::reference_wrapper<const ctmc::SolveResult>> GprsModel::try_s
         return common::EvalError{
             common::EvalErrorCode::non_convergence,
             "steady-state iteration did not converge (residual " +
-                std::to_string(result.residual) + " after " +
+                std::to_string(result.residual) + ", update " +
+                std::to_string(result.update) + " after " +
                 std::to_string(result.iterations) + " sweeps, tolerance " +
                 std::to_string(options.tolerance) + ") [" + parameters_.describe() + "]"};
     }

@@ -6,7 +6,6 @@
 // state count to (M+1)(M+2)/2 * (N_GSM+1) * (K+1).
 #pragma once
 
-#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -70,24 +69,23 @@ private:
     common::index_type pair_count_;
 };
 
-/// QBD row ordering for the solver (ctmc::SolveOptions::permutation
-/// convention, order[new] = old): states grouped by buffer level k, levels
-/// ascending, original index order within a level — the ordering under
-/// which a forward Gauss-Seidel sweep propagates along the chain's
-/// repeating-level direction with minimal bandwidth. The codec above
-/// already stores k outermost, so for this StateSpace the grouping IS the
-/// index order and the result is the identity permutation (which the
-/// solver detects and skips); the function keeps the invariant explicit
-/// and survives a codec change.
+/// QBD row ordering (ctmc::SolveOptions::permutation convention,
+/// order[new] = old): states grouped by buffer level k, levels ascending,
+/// original index order within a level. The codec above already stores k
+/// outermost, so for this StateSpace the result is the identity
+/// permutation (which the solver detects and skips). Built by a stable
+/// counting sort on the level: O(size()).
 inline std::vector<common::index_type> qbd_level_ordering(const StateSpace& space) {
+    std::vector<common::index_type> start(
+        static_cast<std::size_t>(space.buffer_capacity()) + 2, 0);
+    space.for_each([&](const State& s, common::index_type) {
+        ++start[static_cast<std::size_t>(s.buffer) + 1];
+    });
+    std::partial_sum(start.begin(), start.end(), start.begin());
     std::vector<common::index_type> order(static_cast<std::size_t>(space.size()));
-    std::iota(order.begin(), order.end(), common::index_type{0});
-    // Stable sort by buffer level. With the k-outermost codec the indices
-    // are already level-sorted, so this is a single monotone pass.
-    std::stable_sort(order.begin(), order.end(),
-                     [&](common::index_type a, common::index_type b) {
-                         return space.state_of(a).buffer < space.state_of(b).buffer;
-                     });
+    space.for_each([&](const State& s, common::index_type i) {
+        order[static_cast<std::size_t>(start[static_cast<std::size_t>(s.buffer)]++)] = i;
+    });
     return order;
 }
 

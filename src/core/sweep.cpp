@@ -4,19 +4,26 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/initial_guess.hpp"
 #include "core/model.hpp"
 
 namespace gprsim::core {
 
 namespace {
 
-/// Solves one operating point and fills a SweepPoint. `solve.initial` must
-/// already carry any warm start; `engine` provides the solver pool.
+/// Solves one operating point and fills a SweepPoint. A non-empty
+/// `warm` (the previous point's distribution) seeds the solve after
+/// phase_corrected_initial; `engine` provides the solver pool.
 SweepPoint solve_point(const Parameters& base, double rate, ctmc::SolveOptions solve,
-                       ctmc::SolverEngine& engine, std::vector<double>* distribution_out) {
+                       std::vector<double> warm, ctmc::SolverEngine& engine,
+                       std::vector<double>* distribution_out) {
     Parameters p = base;
     p.call_arrival_rate = rate;
     GprsModel model(p);
+    if (!warm.empty()) {
+        solve.initial =
+            phase_corrected_initial(p, model.balanced(), model.space(), std::move(warm));
+    }
     const ctmc::SolveResult& result = model.solve(solve, engine);
 
     SweepPoint point;
@@ -50,11 +57,8 @@ std::vector<SweepPoint> ScenarioSweep::call_arrival_rate(const Parameters& base,
         // behavior, bit-identical for default options).
         std::vector<double> previous;
         for (std::size_t idx = 0; idx < count; ++idx) {
-            ctmc::SolveOptions solve = options.solve;
-            if (options.warm_start && !previous.empty()) {
-                solve.initial = previous;
-            }
-            points[idx] = solve_point(base, call_rates[idx], std::move(solve), engine_,
+            points[idx] = solve_point(base, call_rates[idx], options.solve,
+                                      std::move(previous), engine_,
                                       options.warm_start ? &previous : nullptr);
             if (options.progress) {
                 options.progress(idx, points[idx]);
@@ -75,11 +79,8 @@ std::vector<SweepPoint> ScenarioSweep::call_arrival_rate(const Parameters& base,
             const std::size_t end = std::min(begin + per_shard, count);
             std::vector<double> previous;
             for (std::size_t idx = begin; idx < end; ++idx) {
-                ctmc::SolveOptions solve = options.solve;
-                if (options.warm_start && !previous.empty()) {
-                    solve.initial = previous;
-                }
-                points[idx] = solve_point(base, call_rates[idx], std::move(solve), engine_,
+                points[idx] = solve_point(base, call_rates[idx], options.solve,
+                                          std::move(previous), engine_,
                                           options.warm_start ? &previous : nullptr);
                 if (options.progress) {
                     std::lock_guard<std::mutex> lock(progress_mutex);

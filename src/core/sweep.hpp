@@ -31,10 +31,11 @@ struct SweepPoint {
 
 struct SweepOptions {
     ctmc::SolveOptions solve;
-    /// Reuse the previous point's distribution as the next initial vector.
-    /// All points share one state space, so this is always well-formed and
-    /// typically cuts iteration counts by 3-10x on smooth sweeps. In
-    /// parallel_points mode the chaining happens within each shard.
+    /// Reuse the previous point's distribution as the next initial vector,
+    /// rescaled to the new point's exact phase marginals
+    /// (phase_corrected_initial). All points share one state space, so this
+    /// is always well-formed. In parallel_points mode the chaining happens
+    /// within each shard.
     bool warm_start = true;
     /// Shard *independent* sweep points across the engine's pool. Each of
     /// the num_threads contiguous shards is solved serially with warm-start

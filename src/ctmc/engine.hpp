@@ -1,7 +1,7 @@
 // SolverEngine: the reusable entry point of the steady-state stack.
 //
 //   engine layer   (this file + kernels.hpp)
-//        ^ one iteration scheme: forward Gauss-Seidel
+//        ^ one iteration scheme: forward line Gauss-Seidel
 //   model layer    (core/model.hpp, core/sweep.hpp)
 //        ^ routes GprsModel::solve() and sweeps through an engine
 //   consumers      (eval/, campaign/, bench/, examples/)
@@ -12,20 +12,20 @@
 // once and reused for the life of the workload. SolveOptions::num_threads
 // has no effect, so a solve's result never depends on a thread count.
 //
-// The solve loop runs sweeps in batches of check_interval. On an explicit
-// QtMatrix it takes the raw-CSR wavefront kernel (kernels.hpp), which
-// pipelines the batch and fuses the normalization sum into the final sweep
-// and the residual into the normalizing division — bitwise identical to
-// the one-sweep-at-a-time schedule the matrix-free operator runs, about 2x
-// faster. With adaptive_checks the residual is evaluated only when the
-// observed convergence rate predicts it could matter; normalization stays
-// on the fixed every-interval schedule, so the iterate trajectory is
-// unchanged.
+// The solve loop runs one line Gauss-Seidel sweep (kernels.hpp) over the
+// operator's own level layout (op.levels(), 1 when it declares none) and
+// normalizes after every sweep. It stops after the first sweep whose
+// normalized update (the probability mass the sweep moved, an L1 norm) and
+// scaled residual both meet the tolerance: the update comes with the
+// sweep, and the O(nnz) residual pass runs only after a sweep whose update
+// passed (and at max_iterations). A max-norm update stops too early: on
+// small cells it left the balance-form PLP twice as far from the
+// reference as point Gauss-Seidel's, since a slow mode moves every entry
+// a little.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <mutex>
 #include <type_traits>
@@ -86,9 +86,6 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
         static_cast<index_type>(options.initial.size()) != n) {
         throw std::invalid_argument("solve_steady_state: initial vector size mismatch");
     }
-    if (options.check_interval <= 0) {
-        throw std::invalid_argument("solve_steady_state: check_interval must be positive");
-    }
 
     // Row reordering: solve the permuted system, then map the distribution
     // back to caller indexing. Only explicit matrices can be reindexed;
@@ -117,6 +114,8 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
     }
 
     SolveResult result;
+    const index_type levels = detail::operator_levels(op);
+    detail::validate_line_layout(op, levels);
     const double lambda = detail::max_exit_rate(op);
 
     if (options.initial.empty()) {
@@ -131,94 +130,41 @@ SolveResult SolverEngine::solve(const Op& op, const SolveOptions& options) {
     }
     std::vector<double>& x = result.distribution;
 
-    // Batched sweep loop. Checkpoints land at every multiple of
-    // check_interval (and at max_iterations) exactly as in the
-    // sweep-at-a-time schedule; normalization happens at every checkpoint,
-    // the residual only where the adaptive schedule (or a fixed schedule
-    // with adaptive_checks off) asks for it.
+    detail::LineScratch scratch(levels);
     bool have_residual = false;
-    index_type next_residual = options.check_interval;
-    index_type prev_sweep = 0;
-    double prev_residual = -1.0;
-    index_type sweep = 0;
-    while (sweep < options.max_iterations) {
-        const index_type target = std::min(sweep + options.check_interval,
-                                           options.max_iterations);
-        const bool want_residual = !options.adaptive_checks || target >= next_residual ||
-                                   target == options.max_iterations;
-        if constexpr (std::is_same_v<Op, QtMatrix>) {
-            // Raw-CSR wavefront kernel; its final sweep also accumulates
-            // the normalization sum.
-            const detail::QtCsrView m = detail::csr_view(op);
-            const double sum = detail::gauss_seidel_sweeps(m, x.data(), target - sweep);
-            if (want_residual) {
-                result.residual = detail::fused_normalize_residual(m, x.data(), sum, lambda);
-                ++result.residual_evaluations;
-            } else {
-                if (sum <= 0.0) {
-                    throw std::runtime_error(
-                        "steady-state solve collapsed to the zero vector");
-                }
-                for (double& v : x) {
-                    v /= sum;
-                }
-            }
-        } else {
-            for (index_type s = sweep; s < target; ++s) {
-                detail::gauss_seidel_forward(op, x);
-            }
-            detail::normalize(x);
-            if (want_residual) {
-                result.residual = detail::scaled_residual(op, x, lambda);
-                ++result.residual_evaluations;
-            }
+    for (index_type sweep = 1; sweep <= options.max_iterations; ++sweep) {
+        const detail::SweepTotals totals = detail::line_gauss_seidel_sweep(op, x, scratch);
+        if (!(totals.sum > 0.0)) {
+            throw std::runtime_error("steady-state solve collapsed to the zero vector");
         }
-        sweep = target;
+        for (double& v : x) {
+            v /= totals.sum;
+        }
         result.iterations = sweep;
-        have_residual = want_residual;
-        if (!want_residual) {
+        result.update = totals.update / totals.sum;
+        have_residual = result.update <= options.tolerance || sweep == options.max_iterations;
+        if (!have_residual) {
             continue;
         }
+        result.residual = detail::scaled_residual(op, x, lambda);
+        ++result.residual_evaluations;
         if (options.progress) {
             options.progress(sweep, result.residual);
         }
-        if (result.residual <= options.tolerance) {
+        if (result.update <= options.tolerance && result.residual <= options.tolerance) {
             break;
         }
-        // Schedule the next residual evaluation. With two residuals on
-        // record, extrapolate the per-sweep decay and skip ahead — but only
-        // half the predicted remaining distance, in whole intervals, capped
-        // at 16 intervals, so decelerating convergence cannot overshoot the
-        // sweep where the fixed schedule would have stopped.
-        index_type gap = options.check_interval;
-        if (options.adaptive_checks && prev_residual > 0.0 && result.residual > 0.0 &&
-            result.residual < prev_residual) {
-            const double f = std::pow(result.residual / prev_residual,
-                                      1.0 / static_cast<double>(sweep - prev_sweep));
-            if (f > 0.0 && f < 1.0) {
-                const double remaining =
-                    std::log(options.tolerance / result.residual) / std::log(f);
-                const double half_intervals =
-                    remaining / 2.0 / static_cast<double>(options.check_interval);
-                const index_type mult = std::clamp<index_type>(
-                    static_cast<index_type>(half_intervals), 1, 16);
-                gap = mult * options.check_interval;
-            }
-        }
-        prev_sweep = sweep;
-        prev_residual = result.residual;
-        next_residual = sweep + gap;
     }
 
-    // Every loop exit passes through a residual checkpoint (the converged
-    // break, or the forced evaluation at max_iterations), so this fallback
-    // only fires when max_iterations left the loop body unentered.
+    // Every loop exit passes through a residual evaluation (the converged
+    // break, or the forced one at max_iterations), so this fallback only
+    // fires when max_iterations left the loop body unentered.
     if (!have_residual) {
-        detail::normalize(x);
         result.residual = detail::scaled_residual(op, x, lambda);
         ++result.residual_evaluations;
     }
-    result.converged = result.residual <= options.tolerance;
+    result.converged =
+        result.update <= options.tolerance && result.residual <= options.tolerance;
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return result;

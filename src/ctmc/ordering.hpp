@@ -9,17 +9,19 @@
 // permutation to the distribution before returning, so callers never see
 // internal indices.
 //
-// For the GPRS generator the interesting ordering is the QBD level
-// grouping (core::qbd_level_ordering): states grouped by buffer level so
-// a forward sweep propagates along the chain's natural direction. The
-// StateSpace codec already stores the buffer dimension outermost, so that
-// ordering is the identity and the default solve path is untouched — the
-// machinery below exists for alternative codecs and is validated by the
-// scramble/round-trip tests in tests/ctmc/ordering_test.cpp.
+// A reindexed matrix has one level: a permutation generally breaks the
+// level-outermost layout the line sweep relies on (kernels.hpp), so the
+// reordered system is swept point by point. The GPRS generator needs no
+// reordering: its StateSpace codec stores the buffer level outermost and
+// its operators declare that layout through levels(). The machinery below
+// exists for alternative codecs and is validated by the scramble/round-trip
+// tests in tests/ctmc/ordering_test.cpp.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ctmc/solver_options.hpp"
@@ -81,15 +83,35 @@ inline std::vector<double> inverse_permute_vector(std::span<const double> x,
 }
 
 /// The transposed generator reindexed by `order`: entry (p, q) of the
-/// result is entry (order[p], order[q]) of `qt`, diagonal included.
+/// result is entry (order[p], order[q]) of `qt`, diagonal included. The
+/// result has one level.
 inline QtMatrix permute_qt_matrix(const QtMatrix& qt,
                                   std::span<const index_type> order) {
     validate_permutation(order, qt.size());
+    const std::vector<index_type> inverse = inverse_permutation(order);
     std::vector<double> diag(order.size());
+    std::vector<index_type> row_ptr{0};
+    row_ptr.reserve(order.size() + 1);
+    std::vector<col_type> cols;
+    std::vector<double> values;
+    std::vector<std::pair<col_type, double>> row;
     for (std::size_t p = 0; p < order.size(); ++p) {
         diag[p] = qt.diagonal(order[p]);
+        row.clear();
+        qt.for_each_incoming(order[p], [&](index_type j, double rate) {
+            row.emplace_back(static_cast<col_type>(inverse[static_cast<std::size_t>(j)]), rate);
+        });
+        std::sort(row.begin(), row.end());
+        for (const auto& [col, rate] : row) {
+            cols.push_back(col);
+            values.push_back(rate);
+        }
+        row_ptr.push_back(static_cast<index_type>(cols.size()));
     }
-    return QtMatrix(qt.off_diagonal().permuted(order), std::move(diag));
+    const index_type n = qt.size();
+    return QtMatrix(SparseMatrix::from_csr(n, n, std::move(row_ptr), std::move(cols),
+                                           std::move(values)),
+                    std::move(diag));
 }
 
 }  // namespace gprsim::ctmc

@@ -32,6 +32,16 @@ namespace gprsim::ctmc {
 ///   void for_each_incoming(index_type i, F&& f) const;
 ///                                            // f(j, rate) for every j != i
 ///                                            //  with Q_ji = rate > 0
+///
+/// and optionally
+///
+///   index_type levels() const;               // buffer levels L (absent: 1)
+///
+/// An operator with L > 1 levels declares a level-outermost layout: with
+/// P = size() / L phases, state f + k P is phase f at level k, and the only
+/// transitions inside a phase's column {f, f+P, f+2P, ...} move one level
+/// (entries at +-P). The solver then sweeps whole columns ("lines") at once
+/// (see kernels.hpp).
 template <typename Op>
 concept QtOperatorConcept = requires(const Op& op, index_type i) {
     { op.size() } -> std::convertible_to<index_type>;
@@ -40,39 +50,69 @@ concept QtOperatorConcept = requires(const Op& op, index_type i) {
 };
 
 /// Transposed generator stored explicitly: off-diagonal CSR + diagonal array.
+///
+/// With one level (the default) stored row i is state i. With L > 1 levels
+/// (see QtOperatorConcept) the rows are stored line by line: stored row
+/// s = f L + k holds state f + k P, P = size() / L, so each phase column
+/// the line sweep solves is contiguous in memory. Column indices are state
+/// indices either way.
 class QtMatrix {
 public:
     QtMatrix() = default;
-    QtMatrix(SparseMatrix off_diagonal_qt, std::vector<double> diagonal)
-        : off_diag_(std::move(off_diagonal_qt)), diag_(std::move(diagonal)) {
+    /// `stored_rows` (entry (s, j) = Q_ji for the state i of stored row s,
+    /// j != i) and `stored_diagonal` are in the stored order above.
+    QtMatrix(SparseMatrix stored_rows, std::vector<double> stored_diagonal,
+             index_type levels = 1)
+        : off_diag_(std::move(stored_rows)),
+          diag_(std::move(stored_diagonal)),
+          levels_(levels) {
         if (off_diag_.rows() != static_cast<index_type>(diag_.size()) ||
             off_diag_.cols() != static_cast<index_type>(diag_.size())) {
             throw std::invalid_argument("QtMatrix: dimension mismatch");
         }
+        if (levels_ < 1 || size() % levels_ != 0) {
+            throw std::invalid_argument("QtMatrix: the level count must divide the size");
+        }
+        phases_ = size() / levels_;
     }
 
     index_type size() const { return static_cast<index_type>(diag_.size()); }
-    double diagonal(index_type i) const { return diag_[static_cast<std::size_t>(i)]; }
+    index_type levels() const { return levels_; }
 
+    double diagonal(index_type i) const { return stored_diagonal(stored_row(i)); }
     template <typename F>
     void for_each_incoming(index_type i, F&& f) const {
-        const auto cols = off_diag_.row_cols(i);
-        const auto values = off_diag_.row_values(i);
+        for_each_stored_incoming(stored_row(i), f);
+    }
+
+    /// Diagonal and incoming entries by stored row, for kernels that walk
+    /// the rows in stored order.
+    double stored_diagonal(index_type s) const { return diag_[static_cast<std::size_t>(s)]; }
+    template <typename F>
+    void for_each_stored_incoming(index_type s, F&& f) const {
+        const auto cols = off_diag_.row_cols(s);
+        const auto values = off_diag_.row_values(s);
         for (std::size_t p = 0; p < cols.size(); ++p) {
-            f(cols[p], values[p]);
+            f(static_cast<index_type>(cols[p]), values[p]);
         }
     }
 
+    /// The stored rows (state order only when levels() == 1).
     const SparseMatrix& off_diagonal() const { return off_diag_; }
-    /// Contiguous diagonal array (size() entries) for the raw sweep kernels.
-    const double* diagonal_data() const { return diag_.data(); }
     std::size_t memory_bytes() const {
         return off_diag_.memory_bytes() + diag_.capacity() * sizeof(double);
     }
 
 private:
-    SparseMatrix off_diag_;  // entry (i, j) = Q_ji, i != j
+    /// Stored row of state i.
+    index_type stored_row(index_type i) const {
+        return levels_ == 1 ? i : (i % phases_) * levels_ + i / phases_;
+    }
+
+    SparseMatrix off_diag_;
     std::vector<double> diag_;
+    index_type levels_ = 1;
+    index_type phases_ = 0;
 };
 
 /// Builds a QtMatrix from an enumerator of *outgoing* transitions.
@@ -98,9 +138,9 @@ QtMatrix build_qt_matrix(index_type num_states, Outgoing&& outgoing) {
 }
 
 /// Iteration scheme used by SolverEngine::solve() / solve_steady_state().
-/// There is one: in-place forward Gauss-Seidel sweeps. The enum survives as
-/// the vocabulary of the spec-level `solver.method` strings, where "auto"
-/// is a second spelling of the same scheme.
+/// There is one: in-place forward line Gauss-Seidel sweeps (kernels.hpp).
+/// The enum survives as the vocabulary of the spec-level `solver.method`
+/// strings, where "auto" is a second spelling of the same scheme.
 enum class SolveMethod {
     gauss_seidel,
     auto_select = gauss_seidel,
@@ -122,36 +162,20 @@ inline constexpr const char* kMethodSpellings = "auto, gauss_seidel";
 
 struct SolveOptions {
     SolveMethod method = SolveMethod::gauss_seidel;
-    /// Convergence target on max_i |(pi Q)_i| / Lambda with
-    /// Lambda = max_i |Q_ii| (a dimensionless residual).
+    /// Convergence target. A solve stops after the first sweep whose
+    /// normalized update (SolveResult::update) and scaled residual
+    /// max_i |(pi Q)_i| / Lambda, Lambda = max_i |Q_ii|, are both at most
+    /// this value.
     double tolerance = 1e-12;
     index_type max_iterations = 200000;
-    /// Normalization interval in sweeps. The iterate is renormalized at
-    /// every multiple of `check_interval` (a fixed schedule — the division
-    /// changes the iterate, so it must not depend on anything adaptive for
-    /// results to stay reproducible); the residual is evaluated there too,
-    /// unless adaptive_checks thins the residual schedule.
-    index_type check_interval = 10;
-    /// Derive the residual-evaluation interval from the observed
-    /// convergence rate: once two residuals have been seen, checks are
-    /// scheduled at conservative multiples of check_interval (at most half
-    /// the predicted remaining sweeps, capped at 16 intervals), skipping
-    /// the O(nnz) residual passes a long solve would otherwise burn every
-    /// interval. Normalization stays on the fixed every-interval schedule,
-    /// so the iterate trajectory — and the converged distribution — is
-    /// bitwise identical to adaptive_checks = false; only
-    /// SolveResult::residual_evaluations (and the progress callback
-    /// cadence) changes. Disable to force a residual at every interval.
-    bool adaptive_checks = true;
     /// Row ordering applied to the solve (order[new] = old; empty = keep
     /// the operator's ordering). Only supported for explicit QtMatrix
     /// operators: the engine permutes the matrix and the initial vector,
     /// sweeps the reordered system, and inverse-applies the permutation to
     /// the returned distribution, so callers never see internal indices.
-    /// An identity permutation is detected and skipped (the GPRS
-    /// generator's QBD level grouping — core::qbd_level_ordering — is the
-    /// identity because the state codec already stores the buffer level
-    /// outermost).
+    /// An identity permutation is detected and skipped; any other one
+    /// solves a reindexed matrix with one level (point sweeps), since a
+    /// permuted layout no longer has the level structure.
     std::vector<index_type> permutation;
     /// Has no effect: every solve runs serially (campaign points, not
     /// threads inside a solve, are the parallelism). Kept so existing
@@ -160,7 +184,8 @@ struct SolveOptions {
     /// Warm start; empty means the uniform distribution. Non-negative,
     /// renormalized internally.
     std::vector<double> initial;
-    /// Optional progress callback: (sweeps done, current residual).
+    /// Optional progress callback: (sweeps done, current residual), called
+    /// at every residual evaluation.
     std::function<void(index_type, double)> progress;
 };
 
@@ -168,10 +193,14 @@ struct SolveResult {
     std::vector<double> distribution;
     index_type iterations = 0;
     double residual = 0.0;
+    /// The probability mass the last sweep moved: sum_i |x_i(new) -
+    /// x_i(old)| over the sum of the swept vector. It bounds the sweep's
+    /// change of any measure E[f] by max |f| times this value.
+    double update = 0.0;
     bool converged = false;
     double seconds = 0.0;
     /// Number of scaled-residual evaluations the solve performed (each is
-    /// an O(nnz) pass; adaptive_checks exists to shrink this).
+    /// an O(nnz) pass, run only after a sweep whose update passed).
     index_type residual_evaluations = 0;
 };
 

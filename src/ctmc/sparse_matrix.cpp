@@ -18,23 +18,6 @@ void check_col_capacity(index_type cols) {
 
 }  // namespace
 
-void SparseMatrix::compute_bandwidth() {
-    index_type w = 0;
-    for (index_type i = 0; i < rows_; ++i) {
-        const index_type begin = row_ptr_[static_cast<std::size_t>(i)];
-        const index_type end = row_ptr_[static_cast<std::size_t>(i) + 1];
-        if (begin == end) {
-            continue;
-        }
-        // Columns are sorted, so only the row's extremes can set the max.
-        const index_type lo = cols_idx_[static_cast<std::size_t>(begin)];
-        const index_type hi = cols_idx_[static_cast<std::size_t>(end) - 1];
-        w = std::max(w, i > lo ? i - lo : lo - i);
-        w = std::max(w, i > hi ? i - hi : hi - i);
-    }
-    bandwidth_ = w;
-}
-
 SparseMatrix SparseMatrix::from_triplets(index_type rows, index_type cols,
                                          std::vector<Triplet> triplets) {
     if (rows < 0 || cols < 0) {
@@ -103,7 +86,6 @@ SparseMatrix SparseMatrix::from_triplets(index_type rows, index_type cols,
     m.cols_idx_.shrink_to_fit();
     m.values_.resize(static_cast<std::size_t>(write));
     m.values_.shrink_to_fit();
-    m.compute_bandwidth();
     return m;
 }
 
@@ -143,7 +125,6 @@ SparseMatrix SparseMatrix::from_csr(index_type rows, index_type cols,
     m.row_ptr_ = std::move(row_ptr);
     m.cols_idx_ = std::move(cols_idx);
     m.values_ = std::move(values);
-    m.compute_bandwidth();
     return m;
 }
 
@@ -203,53 +184,6 @@ SparseMatrix SparseMatrix::transpose() const {
         }
     }
     return from_triplets(cols_, rows_, std::move(triplets));
-}
-
-SparseMatrix SparseMatrix::permuted(std::span<const index_type> order) const {
-    if (rows_ != cols_) {
-        throw std::invalid_argument("SparseMatrix::permuted: matrix must be square");
-    }
-    if (static_cast<index_type>(order.size()) != rows_) {
-        throw std::invalid_argument("SparseMatrix::permuted: permutation size mismatch");
-    }
-    // inverse[old] = new, validating that `order` is a bijection.
-    std::vector<index_type> inverse(static_cast<std::size_t>(rows_), -1);
-    for (index_type p = 0; p < rows_; ++p) {
-        const index_type old = order[static_cast<std::size_t>(p)];
-        if (old < 0 || old >= rows_ || inverse[static_cast<std::size_t>(old)] != -1) {
-            throw std::invalid_argument(
-                "SparseMatrix::permuted: order is not a permutation of [0, rows)");
-        }
-        inverse[static_cast<std::size_t>(old)] = p;
-    }
-
-    std::vector<index_type> row_ptr;
-    row_ptr.reserve(static_cast<std::size_t>(rows_) + 1);
-    std::vector<col_type> cols;
-    cols.reserve(values_.size());
-    std::vector<double> values;
-    values.reserve(values_.size());
-    std::vector<std::pair<col_type, double>> row;
-    row_ptr.push_back(0);
-    for (index_type p = 0; p < rows_; ++p) {
-        const index_type old = order[static_cast<std::size_t>(p)];
-        const auto old_cols = row_cols(old);
-        const auto old_values = row_values(old);
-        row.clear();
-        for (std::size_t e = 0; e < old_cols.size(); ++e) {
-            row.emplace_back(
-                static_cast<col_type>(inverse[static_cast<std::size_t>(old_cols[e])]),
-                old_values[e]);
-        }
-        std::sort(row.begin(), row.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-        for (const auto& [c, v] : row) {
-            cols.push_back(c);
-            values.push_back(v);
-        }
-        row_ptr.push_back(static_cast<index_type>(cols.size()));
-    }
-    return from_csr(rows_, cols_, std::move(row_ptr), std::move(cols), std::move(values));
 }
 
 std::size_t SparseMatrix::memory_bytes() const {

@@ -65,12 +65,12 @@ TEST(StateSpace, DegenerateDimensionsWork) {
 
 TEST(StateSpace, QbdLevelOrderingIsIdentityForTheNaturalCodec) {
     // The codec already enumerates states with the buffer level as the
-    // outermost (slowest) digit, so the QBD level ordering the model layer
-    // requests degenerates to the identity — stable_sort on the buffer
-    // level must not move anything. The solver engine detects this and
-    // skips the reindexing entirely; this test pins the convention so a
-    // future codec change surfaces as a failure here instead of a silent
-    // permutation cost.
+    // outermost (slowest) digit, so the QBD level ordering degenerates to
+    // the identity — the stable sort on the buffer level must not move
+    // anything. The solver engine detects this and skips the reindexing
+    // entirely, and the line sweep's level layout (GprsGenerator::levels)
+    // relies on the same convention; this test pins it so a future codec
+    // change surfaces as a failure here.
     const StateSpace space(4, 3, 5);
     const std::vector<common::index_type> order = qbd_level_ordering(space);
     ASSERT_EQ(order.size(), static_cast<std::size_t>(space.size()));
